@@ -13,7 +13,6 @@ from .ate import (
     GScale,
     ImputationSpec,
     adjusted_imputation,
-    ate_confidence_interval,
     fit_optimal_adjustment,
     fit_working_model,
     gscale,

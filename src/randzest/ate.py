@@ -122,39 +122,27 @@ class AteResult:
         }
 
 
-def ate_confidence_interval(r: AteResult, alpha: float = 0.05) -> tuple[float, float]:
-    """Normal-quantile interval tau_hat +/- z * sqrt(variance_hat / N)."""
-    return r.ci(alpha)
-
-
 # ---------------------------------------------------------------------------
 # Model-based and model-imputed estimators (delta-method variance)
 # ---------------------------------------------------------------------------
 
-def _fd_gradient(fun: Callable[[np.ndarray], float], theta: np.ndarray) -> np.ndarray:
-    """Central differences with per-coordinate step 1e-6 * (1 + |theta_k|)."""
-    theta = np.asarray(theta, dtype=float)
-    grad = np.empty_like(theta)
-    for k in range(len(theta)):
-        h = 1e-6 * (1.0 + abs(theta[k]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[k] += h
-        dn[k] -= h
-        fu, fd = fun(up), fun(dn)
-        if not (np.isfinite(fu) and np.isfinite(fd)):
-            raise DomainError(
-                "scale function left its domain while differentiating the "
-                f"effect map at coordinate {k}"
-            )
-        grad[k] = (fu - fd) / (2.0 * h)
-    return grad
+def _delta_variance(d: Dataset, spec: MeanSpec, fit: ZFit, gdot1, gdot0) -> float:
+    """Delta-method variance grad' Sigma grad of an effect E_1 - E_0.
 
-
-def _delta_variance(fun: Callable[[np.ndarray], float], fit: ZFit) -> float:
+    E_z depends on theta only through the fitted means h_z(x_i), whose
+    linear predictors are design @ theta[indices(z)]; ``gdot_z`` is N times
+    dE_z / dh_z(x_i), per unit or one number for all units.  The chain rule
+    gives mean(gdot_z * mean_deta(eta_z) * design) in the indices(z) slots;
+    where the arms share slopes, their contributions add.
+    """
     if fit.sigma_hat is None:
         raise ConvergenceError("fit has no sandwich covariance for the delta method")
-    grad = _fd_gradient(fun, fit.theta_hat)
+    design = spec.design(d.x)
+    grad = np.zeros(spec.dim)
+    for arm, gdot in ((1, gdot1), (0, -gdot0)):
+        idx = spec.indices(arm)
+        dmean = spec.family.mean_deta(design @ fit.theta_hat[idx], arm)
+        grad[idx] += np.mean((gdot * dmean)[:, None] * design, axis=0)
     return max(float(grad @ fit.sigma_hat @ grad), 0.0)
 
 
@@ -164,15 +152,9 @@ def tau_model_based(d: Dataset, spec: MeanSpec, fit: ZFit, g: GScale) -> AteResu
     h0 = glm_mean(spec, 0, d.x, fit.theta_hat)
     _require_domain(g, h1, "treated fitted means")
     _require_domain(g, h0, "control fitted means")
-
-    def effect_map(theta: np.ndarray) -> float:
-        return float(np.mean(
-            g.g(glm_mean(spec, 1, d.x, theta)) - g.g(glm_mean(spec, 0, d.x, theta))
-        ))
-
     return AteResult(
-        tau_hat=effect_map(fit.theta_hat),
-        variance_hat=_delta_variance(effect_map, fit),
+        tau_hat=float(np.mean(g.g(h1) - g.g(h0))),
+        variance_hat=_delta_variance(d, spec, fit, g.gdot(h1), g.gdot(h0)),
         estimator_kind="B",
         g_scale=g.name,
         n_units=d.n,
@@ -186,21 +168,13 @@ def tau_model_imputed(d: Dataset, spec: MeanSpec, fit: ZFit, g: GScale) -> AteRe
     m0 = float(np.mean(glm_mean(spec, 0, d.x, fit.theta_hat)))
     _require_domain(g, np.array([m1]), "treated imputation average")
     _require_domain(g, np.array([m0]), "control imputation average")
-
-    def effect_map(theta: np.ndarray) -> float:
-        a1 = float(np.mean(glm_mean(spec, 1, d.x, theta)))
-        a0 = float(np.mean(glm_mean(spec, 0, d.x, theta)))
-        if not (g.in_domain(np.array([a1]))[0] and g.in_domain(np.array([a0]))[0]):
-            return np.nan
-        return float(g.g(a1) - g.g(a0))
-
     return AteResult(
         tau_hat=float(g.g(m1) - g.g(m0)),
-        variance_hat=_delta_variance(effect_map, fit),
+        variance_hat=_delta_variance(d, spec, fit, g.gdot(m1), g.gdot(m0)),
         estimator_kind="I",
         g_scale=g.name,
         n_units=d.n,
-    fits=(fit,),
+        fits=(fit,),
     )
 
 

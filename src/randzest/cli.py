@@ -20,23 +20,18 @@ from typing import Optional
 
 import numpy as np
 
-from .ate import (
-    ImputationSpec,
-    adjusted_imputation,
-    fit_optimal_adjustment,
-    fit_working_model,
-    gscale,
-    mean_adjustment,
-    tau_model_assisted,
-    tau_model_based,
-    tau_model_imputed,
-    tau_unadjusted,
-)
+from .ate import gscale, tau_unadjusted
 from .errors import ConvergenceError, RandzestError
-from .estfun import moment_kappa, parse_model_spec
+from .estfun import parse_model_spec
 from .finitepop import read_dataset_csv, read_potential_csv
 from .ite import fit_normal_linear, fit_ternary
-from .simlab import exact_randomization_distribution, load_scenario, run_study
+from .simlab import (
+    EstimatorConfig,
+    build_estimator,
+    exact_randomization_distribution,
+    load_scenario,
+    run_study,
+)
 
 DATA_ERROR = 2
 SOLVER_ERROR = 3
@@ -54,52 +49,29 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _build_spec(args, d):
-    config = parse_model_spec(args.model)
-    if config.family_name == "negbin" and config.kappa is None:
-        return config.build(d.x.shape[1], kappa=moment_kappa(d))
-    return config.build(d.x.shape[1])
-
-
-def _require_converged(fit):
-    if not fit.converged:
-        raise ConvergenceError(
-            f"solver did not converge after {fit.iterations} iterations: {fit.message}"
-        )
-    return fit
+def _estimator_config(args) -> EstimatorConfig:
+    """The ATE estimator a ``simulate`` row of the same kind would run."""
+    if args.estimator == "unadjusted":
+        return EstimatorConfig(kind="unadjusted")
+    if args.estimator == "ai":
+        imputations = []
+        for text in args.imputation or [args.model]:
+            model_text, _, method = text.partition("@")
+            imputations.append((parse_model_spec(model_text), method or "mle"))
+        return EstimatorConfig(kind="ai", imputations=tuple(imputations))
+    model = parse_model_spec(args.model)
+    return EstimatorConfig(
+        kind=args.estimator,
+        family=model.family_name,
+        interaction=model.interaction,
+        method=args.method,
+        kappa="moment" if model.kappa is None else model.kappa,
+    )
 
 
 def cmd_estimate(args) -> int:
     d = read_dataset_csv(args.input)
-    g = gscale(args.g)
-
-    if args.estimator == "unadjusted":
-        result = tau_unadjusted(d, g)
-    elif args.estimator in ("b", "i", "ma"):
-        spec = _build_spec(args, d)
-        if args.estimator == "ma" and args.method == "squared-loss":
-            fit = _require_converged(fit_optimal_adjustment(d, spec))
-        else:
-            fit = _require_converged(fit_working_model(d, spec))
-        if args.estimator == "b":
-            result = tau_model_based(d, spec, fit, g)
-        elif args.estimator == "i":
-            result = tau_model_imputed(d, spec, fit, g)
-        else:
-            h1, h0 = mean_adjustment(spec)
-            result = tau_model_assisted(d, h1, h0, fit.theta_hat, g, fits=(fit,))
-    elif args.estimator == "ai":
-        imputation_specs = []
-        for text in args.imputation or [args.model]:
-            model_text, _, method = text.partition("@")
-            config = parse_model_spec(model_text)
-            if config.family_name == "negbin" and config.kappa is None:
-                spec = config.build(d.x.shape[1], kappa=moment_kappa(d))
-            else:
-                spec = config.build(d.x.shape[1])
-            imputation_specs.append(ImputationSpec(spec, method or "mle"))
-        result = adjusted_imputation(d, imputation_specs, g)
-    elif args.estimator == "ite-linear":
+    if args.estimator == "ite-linear":
         fit = fit_normal_linear(d)
         doc = {
             "model": "ite-linear",
@@ -115,9 +87,13 @@ def cmd_estimate(args) -> int:
                 fh.write("\n".join(lines) + "\n")
         _emit(json.dumps(doc, indent=2), args.output)
         return 0
-    else:  # ite-ternary
+    if args.estimator == "ite-ternary":
         fit = fit_ternary(d, gamma=args.gamma)
-        _require_converged(fit.zfit)
+        if not fit.zfit.converged:
+            raise ConvergenceError(
+                f"solver did not converge after {fit.zfit.iterations} "
+                f"iterations: {fit.zfit.message}"
+            )
         doc = {
             "model": f"ite-ternary(gamma={args.gamma})",
             "beta": [float(v) for v in fit.beta_hat],
@@ -126,6 +102,7 @@ def cmd_estimate(args) -> int:
         _emit(json.dumps(doc, indent=2), args.output)
         return 0
 
+    result = build_estimator(_estimator_config(args), gscale(args.g))(d, {})
     _emit(json.dumps(result.to_document(args.alpha), indent=2), args.output)
     return 0
 

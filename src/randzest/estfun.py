@@ -60,15 +60,6 @@ class EstimatingFunction:
     loss1: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     loss0: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
-    def psi(self, arm: int):
-        return self.psi1 if arm == 1 else self.psi0
-
-    def jac(self, arm: int):
-        return self.jac1 if arm == 1 else self.jac0
-
-    def loss(self, arm: int):
-        return self.loss1 if arm == 1 else self.loss0
-
     @property
     def has_jacobian(self) -> bool:
         return self.jac1 is not None and self.jac0 is not None
@@ -432,16 +423,31 @@ def canonical_q_vectors(spec: MeanSpec, theta: np.ndarray) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# Model spec strings (CLI surface): family[:interact][:kappa=<v>]
+# Model descriptions: family[:interact][:kappa=<v>]
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Parsed model description, bound to data later via build()."""
+    """A working-model description, bound to data later via bind().
+
+    The family is checked on construction.  ``kappa`` is the fixed negbin
+    dispersion, or None (also spelled "moment") to estimate it per arm from
+    the data at bind time.  Other families have no dispersion, so their
+    kappa is always None and equal models compare (and hash) equal.
+    """
 
     family_name: str
     interaction: bool = False
     kappa: Optional[float] = None
+
+    def __post_init__(self):
+        if self.family_name not in _FAMILY_BUILDERS and self.family_name != "negbin":
+            raise SpecificationError(
+                f"unknown family '{self.family_name}'; expected one of "
+                f"{sorted(set(_FAMILY_BUILDERS) | {'negbin'})}"
+            )
+        fixed = self.family_name == "negbin" and self.kappa not in (None, "moment")
+        object.__setattr__(self, "kappa", float(self.kappa) if fixed else None)
 
     def build(self, n_covariates: int, kappa=None) -> MeanSpec:
         if self.family_name == "negbin":
@@ -456,18 +462,19 @@ class ModelConfig:
             family = _FAMILY_BUILDERS[self.family_name]()
         return MeanSpec(family, self.interaction, n_covariates)
 
+    def bind(self, d) -> MeanSpec:
+        """The model on a dataset's covariates; negbin without a fixed kappa
+        gets the per-arm :func:`moment_kappa` of the dataset."""
+        if self.family_name == "negbin" and self.kappa is None:
+            return self.build(d.x.shape[1], kappa=moment_kappa(d))
+        return self.build(d.x.shape[1])
+
 
 def parse_model_spec(text: str) -> ModelConfig:
     """Parse ``family[:interact][:kappa=<v>]``, e.g. ``poisson:interact``."""
     parts = [p.strip() for p in text.split(":") if p.strip()]
     if not parts:
         raise SpecificationError("empty model spec")
-    family = parts[0].lower()
-    if family not in _FAMILY_BUILDERS and family != "negbin":
-        raise SpecificationError(
-            f"unknown family '{family}'; expected one of "
-            f"{sorted(set(_FAMILY_BUILDERS) | {'negbin'})}"
-        )
     interaction = False
     kappa = None
     for part in parts[1:]:
@@ -480,7 +487,7 @@ def parse_model_spec(text: str) -> ModelConfig:
                 raise SpecificationError(f"bad kappa value in '{part}'") from None
         else:
             raise SpecificationError(f"unknown model spec token '{part}'")
-    return ModelConfig(family, interaction, kappa)
+    return ModelConfig(parts[0].lower(), interaction, kappa)
 
 
 def moment_kappa(d) -> tuple[float, float]:

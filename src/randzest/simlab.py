@@ -46,14 +46,7 @@ from .errors import (
     RandzestError,
     SpecificationError,
 )
-from .estfun import (
-    MeanSpec,
-    binomial_family,
-    gaussian_family,
-    moment_kappa,
-    negbin_family,
-    poisson_family,
-)
+from .estfun import GAUSSIAN, ModelConfig
 from .finitepop import Dataset, PotentialTable, draw_assignment, enumerate_assignments, make_rng, observe
 from .zestim import ZFit
 
@@ -79,7 +72,7 @@ class EstimatorConfig:
     ``kappa`` is a number, or "moment" for the per-arm method-of-moments
     dispersion recomputed on every replication (negbin only).  ``imputations``
     configures the first stage of the adjusted-imputation estimator as
-    (family, method, kappa) triples.
+    ``(ModelConfig, method)`` pairs, method "mle" or "squared-loss".
     """
 
     kind: str  # b | i | ma | ai | unadjusted
@@ -169,60 +162,38 @@ def gen_population(s: Scenario, rng: np.random.Generator) -> PotentialTable:
 # Estimator construction with a per-replication fit cache
 # ---------------------------------------------------------------------------
 
-_FAMILY_BUILDERS = {
-    "poisson": poisson_family,
-    "gaussian": gaussian_family,
-    "linear": gaussian_family,
-    "binomial": binomial_family,
-    "logistic": binomial_family,
-}
+_METHODS = ("mle", "squared-loss")
 
 
-def _build_spec(d: Dataset, family: str, interaction: bool, kappa) -> MeanSpec:
-    if family == "negbin":
-        fam = negbin_family(moment_kappa(d) if kappa == "moment" else kappa)
-    else:
-        try:
-            fam = _FAMILY_BUILDERS[family]()
-        except KeyError:
-            raise SpecificationError(f"unknown family '{family}'") from None
-    return MeanSpec(fam, interaction, d.x.shape[1])
+def _fit(d: Dataset, model: ModelConfig, method: str, cache: dict):
+    """(spec, fit) of a working model, shared through the per-dataset cache.
 
-
-def _mle_fit(d: Dataset, family: str, interaction: bool, kappa, cache: dict):
-    key = ("mle", family, interaction, str(kappa))
+    A squared-loss fit of a non-linear mean starts from the maximum-likelihood
+    fit of the same mean form, which the cache usually holds already.
+    """
+    if method == "squared-loss" and model.family_name == "negbin":
+        # Poisson and negbin share the exponential mean form.
+        model = ModelConfig("poisson", model.interaction)
+    key = (method, model)
     if key not in cache:
-        spec = _build_spec(d, family, interaction, kappa)
-        fit = fit_working_model(d, spec)
+        spec = model.bind(d)
+        if method == "mle":
+            fit = fit_working_model(d, spec)
+        else:
+            theta0 = None
+            if spec.family.kind != GAUSSIAN:
+                try:
+                    theta0 = _fit(d, model, "mle", cache)[1].theta_hat
+                except (RandzestError, np.linalg.LinAlgError):
+                    pass
+            fit = fit_optimal_adjustment(d, spec, theta0)
         if not fit.converged:
-            raise ConvergenceError(f"{family} fit did not converge: {fit.message}")
+            raise ConvergenceError(
+                f"{method} {model.family_name} fit did not converge after "
+                f"{fit.iterations} iterations: {fit.message}"
+            )
         cache[key] = (spec, fit)
     return cache[key]
-
-
-def _sq_fit(d: Dataset, family: str, interaction: bool, cache: dict):
-    # Poisson and negbin share the exponential mean form; normalize the key.
-    mean_family = "poisson" if family in ("poisson", "negbin") else family
-    key = ("sq", mean_family, interaction)
-    if key not in cache:
-        spec = _build_spec(d, mean_family, interaction, None)
-        theta0 = None
-        if mean_family != "gaussian":
-            try:
-                _, warm = _mle_fit(d, mean_family, interaction, None, cache)
-                theta0 = warm.theta_hat
-            except (RandzestError, np.linalg.LinAlgError):
-                theta0 = None
-        fit = fit_optimal_adjustment(d, spec, theta0)
-        if not fit.converged:
-            raise ConvergenceError(f"squared-loss fit did not converge: {fit.message}")
-        cache[key] = (spec, fit)
-    return cache[key]
-
-
-def _check_family(name: Optional[str]) -> None:
-    if name is not None and name not in _FAMILY_BUILDERS and name != "negbin":
-        raise SpecificationError(f"unknown family '{name}'")
 
 
 def build_estimator(
@@ -231,66 +202,47 @@ def build_estimator(
     """Compile a config into an ``estimate(dataset, cache)`` callable."""
     g = gscale(config.g) if config.g else default_g
     kind = config.kind
-    _check_family(config.family)
-    for imp in config.imputations:
-        _check_family(imp.get("family"))
 
     if kind == "unadjusted":
         return lambda d, cache: tau_unadjusted(d, g)
 
-    if kind in ("b", "i"):
-        if config.family is None:
-            raise SpecificationError(f"estimator kind '{kind}' needs a family")
-
-        def estimate(d: Dataset, cache: dict) -> AteResult:
-            spec, fit = _mle_fit(d, config.family, config.interaction, config.kappa, cache)
-            if kind == "b":
-                return tau_model_based(d, spec, fit, g)
-            return tau_model_imputed(d, spec, fit, g)
-
-        return estimate
-
-    if kind == "ma":
-        if config.family is None:
-            raise SpecificationError("estimator kind 'ma' needs a family")
-        if config.method not in ("mle", "squared-loss"):
-            raise SpecificationError(f"unknown ma method '{config.method}'")
-
-        def estimate(d: Dataset, cache: dict) -> AteResult:
-            if config.method == "mle":
-                spec, fit = _mle_fit(d, config.family, config.interaction, config.kappa, cache)
-            else:
-                spec, fit = _sq_fit(d, config.family, config.interaction, cache)
-            h1, h0 = mean_adjustment(spec)
-            return tau_model_assisted(d, h1, h0, fit.theta_hat, g, fits=(fit,))
-
-        return estimate
-
     if kind == "ai":
         if not config.imputations:
             raise SpecificationError("estimator kind 'ai' needs imputations")
+        for _, method in config.imputations:
+            if method not in _METHODS:
+                raise SpecificationError(f"unknown imputation method '{method}'")
 
         def estimate(d: Dataset, cache: dict) -> AteResult:
             specs: list[ImputationSpec] = []
             fitted: list[ZFit] = []
-            for imp in config.imputations:
-                family = imp.get("family")
-                interaction = bool(imp.get("interaction", True))
-                method = imp.get("method", "mle")
-                kappa = imp.get("kappa", "moment")
-                if method == "mle":
-                    spec, fit = _mle_fit(d, family, interaction, kappa, cache)
-                elif method == "squared-loss":
-                    spec, fit = _sq_fit(d, family, interaction, cache)
-                else:
-                    raise SpecificationError(f"unknown imputation method '{method}'")
+            for model, method in config.imputations:
+                spec, fit = _fit(d, model, method, cache)
                 specs.append(ImputationSpec(spec, method))
                 fitted.append(fit)
             return adjusted_imputation(d, specs, g, fitted=fitted)
 
         return estimate
 
-    raise SpecificationError(f"unknown estimator kind '{kind}'")
+    if kind not in ("b", "i", "ma"):
+        raise SpecificationError(f"unknown estimator kind '{kind}'")
+    if config.family is None:
+        raise SpecificationError(f"estimator kind '{kind}' needs a family")
+    model = ModelConfig(config.family, config.interaction, config.kappa)
+    method = config.method if kind == "ma" else "mle"
+    if method not in _METHODS:
+        raise SpecificationError(f"unknown ma method '{method}'")
+
+    def estimate(d: Dataset, cache: dict) -> AteResult:
+        spec, fit = _fit(d, model, method, cache)
+        if kind == "b":
+            return tau_model_based(d, spec, fit, g)
+        if kind == "i":
+            return tau_model_imputed(d, spec, fit, g)
+        h1, h0 = mean_adjustment(spec)
+        return tau_model_assisted(d, h1, h0, fit.theta_hat, g, fits=(fit,))
+
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +339,7 @@ def run_study(
         cache: dict = {}
         for j, estimate in enumerate(estimators):
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    result = estimate(data, cache)
+                result = estimate(data, cache)
                 lo, hi = result.ci(s.alpha)
             except _FAILURE_KINDS:
                 failed[j, rep] = True
@@ -398,13 +348,16 @@ def run_study(
             ses[j, rep] = np.sqrt(result.variance_hat)
             covered[j, rep] = lo <= truth <= hi
 
+    # The filter state is process-global: set it once here, never in workers.
     workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, range(reps)))
-    else:
-        for rep in range(reps):
-            run_one(rep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run_one, range(reps)))
+        else:
+            for rep in range(reps):
+                run_one(rep)
 
     scale = np.sqrt(s.n)
     rows = []
@@ -473,6 +426,20 @@ def exact_randomization_distribution(
 # Scenario files (JSON)
 # ---------------------------------------------------------------------------
 
+def _imputation_from_dict(where: str, raw: dict) -> tuple[ModelConfig, str]:
+    """One ``imputations`` entry; its ``interaction`` defaults to true."""
+    if "family" not in raw:
+        raise DataError(f"{where}: missing key 'family'")
+    method = raw.get("method", "mle")
+    if method not in _METHODS:
+        raise DataError(f"{where}: unknown 'method' {method!r}; use one of {_METHODS}")
+    try:
+        model = ModelConfig(raw["family"], bool(raw.get("interaction", True)), raw.get("kappa"))
+    except SpecificationError as exc:
+        raise DataError(f"{where}: bad 'family': {exc}") from None
+    return model, method
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         raw_estimators = doc["estimators"]
@@ -483,13 +450,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 interaction=bool(e.get("interaction", False)),
                 method=e.get("method", "mle"),
                 kappa=e.get("kappa", "moment"),
-                imputations=tuple(e.get("imputations", ())),
+                imputations=tuple(
+                    _imputation_from_dict(f"estimators[{j}].imputations[{k}]", imp)
+                    for k, imp in enumerate(e.get("imputations", ()))
+                ),
                 g=e.get("g"),
                 model_label=e.get("model"),
                 interaction_label=e.get("interaction_label"),
                 estimation_label=e.get("estimation"),
             )
-            for e in raw_estimators
+            for j, e in enumerate(raw_estimators)
         )
         return Scenario(
             dgp=doc["dgp"],
@@ -501,7 +471,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             replications=int(doc.get("replications", 10_000)),
             alpha=float(doc.get("alpha", 0.05)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad scenario document: {exc}") from exc
 
 

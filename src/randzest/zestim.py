@@ -20,7 +20,6 @@ Wald sets divide by N.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,9 +68,6 @@ class ZFit:
             "iterations": int(self.iterations),
             "psi_norm": float(self.psi_norm),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2)
 
 
 def empirical_psi(d: Dataset, f: EstimatingFunction, theta) -> np.ndarray:

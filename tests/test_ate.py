@@ -58,20 +58,29 @@ class TestModelBased:
         assert res.tau_hat == pytest.approx(expected, abs=1e-12)
         assert res.estimator_kind == "B"
 
-    def test_variance_is_delta_form(self):
+    @pytest.mark.parametrize("scale", [LOG, IDENTITY], ids=["log", "identity"])
+    @pytest.mark.parametrize("interaction", [True, False])
+    @pytest.mark.parametrize("kind", ["B", "I"])
+    def test_variance_is_delta_form(self, kind, interaction, scale):
+        # without interaction the arms share the slope slots, whose
+        # gradient is the sum of both arms' contributions
         d, _ = _count_dataset()
-        spec = rz.MeanSpec(rz.poisson_family(), True, 2)
+        spec = rz.MeanSpec(rz.poisson_family(), interaction, 2)
         fit = rz.fit_working_model(d, spec)
-        res = rz.tau_model_based(d, spec, fit, LOG)
 
         def effect_map(theta):
             h1 = rz.glm_mean(spec, 1, d.x, theta)
             h0 = rz.glm_mean(spec, 0, d.x, theta)
-            return float(np.mean(np.log(h1) - np.log(h0)))
+            if kind == "B":
+                return float(np.mean(scale.g(h1) - scale.g(h0)))
+            return float(scale.g(h1.mean()) - scale.g(h0.mean()))
 
+        estimator = rz.tau_model_based if kind == "B" else rz.tau_model_imputed
+        res = estimator(d, spec, fit, scale)
+        assert res.tau_hat == effect_map(fit.theta_hat)
         grad = fd_gradient(effect_map, fit.theta_hat, step=1e-6)
         assert res.variance_hat == pytest.approx(
-            float(grad @ fit.sigma_hat @ grad), rel=1e-4
+            float(grad @ fit.sigma_hat @ grad), rel=1e-6
         )
 
     def test_log_domain_violation_lists_units(self):
@@ -248,12 +257,12 @@ class TestAdjustedImputation:
 class TestConfidenceIntervals:
     def test_degenerate(self):
         r = rz.AteResult(1.5, 0.0, "A", "identity", 100)
-        assert rz.ate_confidence_interval(r, 0.05) == (1.5, 1.5)
+        assert r.ci(0.05) == (1.5, 1.5)
 
     def test_quantile_arithmetic(self):
         # z_{0.975} * sqrt(1/100) = 0.1959964
         r = rz.AteResult(0.0, 1.0, "A", "identity", 100)
-        lo, hi = rz.ate_confidence_interval(r, 0.05)
+        lo, hi = r.ci(0.05)
         assert hi == pytest.approx(0.1959964, abs=1e-6)
         assert lo == pytest.approx(-0.1959964, abs=1e-6)
 

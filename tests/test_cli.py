@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import randzest as rz
+from randzest import simlab
 from randzest.cli import main
+from randzest.estfun import ModelConfig
 
 
 def write_count_csv(path, seed=71, n=80):
@@ -122,6 +124,47 @@ class TestEstimate:
             "--alpha", "1.5",
         ])
         assert code == 2
+
+
+def _model_text(model):
+    text = model.family_name + (":interact" if model.interaction else "")
+    return text if model.kappa is None else f"{text}:kappa={model.kappa!r}"
+
+
+def _estimate_argv(config):
+    """The ``estimate`` options of a study row."""
+    if config.kind == "unadjusted":
+        return ["--estimator", "unadjusted"]
+    if config.kind == "ai":
+        argv = ["--estimator", "ai"]
+        for model, method in config.imputations:
+            argv += ["--imputation", f"{_model_text(model)}@{method}"]
+        return argv
+    model = ModelConfig(config.family, config.interaction, config.kappa)
+    return ["--estimator", config.kind, "--model", _model_text(model),
+            "--method", config.method]
+
+
+class TestCliEqualsStudy:
+    def test_every_table_a1_row(self, tmp_path):
+        s = simlab.load_scenario(simlab.bundled_scenario_path("table_a1"))
+        pot = simlab.gen_population(s, rz.make_rng(s.seed, 0))
+        d = rz.observe(pot, rz.draw_assignment(rz.make_rng(s.seed, 1), s.n, s.n1))
+        csv_path = tmp_path / "rep.csv"
+        rows = ["z,y,x1,x2"] + [
+            f"{zi},{yi!r},{xi[0]!r},{xi[1]!r}"
+            for zi, yi, xi in zip(d.z.tolist(), d.y.tolist(), d.x.tolist())
+        ]
+        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "res.json"
+        for config in s.estimators:
+            expected = simlab.build_estimator(config, rz.LOG)(d, {})
+            argv = ["estimate", "--input", str(csv_path), "--g", "log",
+                    "--output", str(out)] + _estimate_argv(config)
+            assert main(argv) == 0, argv
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert doc["tau_hat"] == expected.tau_hat, argv
+            assert doc["se"] == expected.se(), argv
 
 
 class TestSimulate:

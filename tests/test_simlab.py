@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import randzest as rz
-from randzest import simlab
+from randzest import ate, simlab
 from randzest.errors import DataError, EnumerationTooLargeError, SpecificationError
+from randzest.estfun import ModelConfig
 from randzest.simlab import EstimatorConfig, Scenario, scenario_from_dict
 
 
@@ -119,6 +120,25 @@ class TestRunStudy:
         assert row.failures == 3
         assert row.replications_used == 6
 
+    def test_table_a1_replication_solves_each_model_once(self, monkeypatch):
+        # six distinct working models: Poisson with and without interaction,
+        # negbin, the squared-loss Poisson mean, and the two linear fits
+        s = simlab.load_scenario(simlab.bundled_scenario_path("table_a1"))
+        pot = simlab.gen_population(s, rz.make_rng(s.seed, 0))
+        d = rz.observe(pot, rz.draw_assignment(rz.make_rng(s.seed, 1), s.n, s.n1))
+        calls = {"n": 0}
+        real_solve = ate.solve
+
+        def counting_solve(*args, **kwargs):
+            calls["n"] += 1
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(ate, "solve", counting_solve)
+        cache: dict = {}
+        for config in s.estimators:
+            simlab.build_estimator(config, rz.LOG)(d, cache)
+        assert calls["n"] == 6
+
     def test_requires_two_replications(self):
         with pytest.raises(SpecificationError):
             simlab.run_study(_tiny_scenario(), replications=1)
@@ -201,6 +221,36 @@ class TestScenarioFiles:
         s = simlab.load_scenario(str(path))
         table = simlab.run_study(s)
         assert table.replications == 4
+
+    @pytest.mark.parametrize("entry,key", [
+        ({"interaction": True, "method": "mle"}, "family"),
+        ({"family": "weibull"}, "family"),
+        ({"family": "poisson", "method": "newton"}, "method"),
+    ])
+    def test_bad_imputation_rejected_at_load(self, tmp_path, entry, key):
+        doc = {
+            "dgp": "null", "N": 40, "n1": 20,
+            "estimators": [{"kind": "unadjusted"},
+                           {"kind": "ai", "imputations": [entry]}],
+        }
+        path = tmp_path / "s.scenario"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=rf"estimators\[1\]\.imputations\[0\].*'{key}'"):
+            simlab.load_scenario(str(path))
+
+    def test_imputation_entries_parse_to_models(self):
+        # inside imputations, interaction defaults to true and kappa to "moment"
+        s = scenario_from_dict({
+            "dgp": "null", "N": 40, "n1": 20,
+            "estimators": [{"kind": "ai", "imputations": [
+                {"family": "negbin"},
+                {"family": "poisson", "interaction": False, "method": "squared-loss"},
+            ]}],
+        })
+        assert s.estimators[0].imputations == (
+            (ModelConfig("negbin", True), "mle"),
+            (ModelConfig("poisson", False), "squared-loss"),
+        )
 
     def test_labels(self):
         config = EstimatorConfig(kind="ma", family="poisson", interaction=True,
