@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -88,6 +89,12 @@ def _require_domain(g: GScale, values: np.ndarray, what: str) -> None:
         )
 
 
+@lru_cache(maxsize=64)
+def _normal_quantile(alpha: float) -> float:
+    """The two-sided normal critical value z_{1 - alpha/2}."""
+    return float(stats.norm.ppf(1.0 - alpha / 2.0))
+
+
 @dataclass(eq=False)
 class AteResult:
     """Point estimate plus the variance of its sqrt(N)-scaled version."""
@@ -105,8 +112,7 @@ class AteResult:
     def ci(self, alpha: float = 0.05) -> tuple[float, float]:
         if not 0.0 < alpha < 1.0:
             raise SpecificationError(f"alpha must be in (0, 1), got {alpha}")
-        zq = float(stats.norm.ppf(1.0 - alpha / 2.0))
-        half = zq * self.se()
+        half = _normal_quantile(alpha) * self.se()
         return self.tau_hat - half, self.tau_hat + half
 
     def to_document(self, alpha: float = 0.05) -> dict:

@@ -6,6 +6,11 @@ Jacobians and loss functions.  All callables are vectorized over units:
 ``psi(y, x, theta)`` takes an outcome vector of length n and an (n, d)
 covariate matrix and returns an (n, p) matrix of per-unit scores.
 
+The solver evaluates each arm through an arm kernel (see :class:`UnitKernel`).
+The working-model factories define each score by three scalar functions of
+(y, eta) -- score factor, Jacobian weight, loss -- whose kernel forms eta
+once per theta and the Jacobian as a weighted Gram matrix.
+
 The concrete families here are the canonical-link GLMs (linear, logistic,
 Poisson) plus negative binomial regression with a log link and fixed
 dispersion.  Scores are normalized so the residual coefficient is one,
@@ -27,6 +32,7 @@ import numpy as np
 from .errors import SpecificationError
 
 ETA_CLAMP = 35.0
+_FD_STEP = 1e-6
 
 GAUSSIAN = "gaussian-identity"
 BINOMIAL = "binomial-logit"
@@ -50,6 +56,10 @@ class EstimatingFunction:
         Analytic per-unit derivatives of psi with respect to theta.
     loss1, loss0 : callable(y, x, theta) -> (n,), optional
         Per-unit losses whose theta-gradients are psi1 / psi0.
+    kernel : callable(arm, y, x) -> arm kernel, optional
+        Fused evaluator of the same functions (see :class:`UnitKernel`);
+        ``dataclasses.replace`` keeps it, so it must agree with the
+        callables it is kept with.
     """
 
     dim: int
@@ -59,6 +69,7 @@ class EstimatingFunction:
     jac0: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     loss1: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     loss0: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    kernel: Optional[Callable[[int, np.ndarray, np.ndarray], object]] = None
 
     @property
     def has_jacobian(self) -> bool:
@@ -67,6 +78,42 @@ class EstimatingFunction:
     @property
     def has_loss(self) -> bool:
         return self.loss1 is not None and self.loss0 is not None
+
+
+class UnitKernel:
+    """Arm kernel adapted from an estimating function's per-unit callables.
+
+    An arm kernel evaluates one arm on fixed rows (y, x): ``scores(theta)``
+    gives the (n, p) per-unit scores, ``mean(theta, with_risk)`` the
+    arm-mean score and, on request, the arm-mean loss (else None), and
+    ``jacobian(theta)`` the (p, p) arm-mean Jacobian; here a central finite
+    difference of the arm-mean score (step 1e-6 * (1 + |theta_k|)) when no
+    analytic Jacobians are carried.
+    """
+
+    def __init__(self, f: EstimatingFunction, arm: int, y, x):
+        self.y, self.x = y, x
+        self._psi = f.psi1 if arm == 1 else f.psi0
+        self._jac = (f.jac1 if arm == 1 else f.jac0) if f.has_jacobian else None
+        self._loss = f.loss1 if arm == 1 else f.loss0
+
+    def scores(self, theta):
+        return self._psi(self.y, self.x, theta)
+
+    def mean(self, theta, with_risk: bool = False):
+        psi = self.scores(theta).mean(axis=0)
+        return psi, float(np.mean(self._loss(self.y, self.x, theta))) if with_risk else None
+
+    def jacobian(self, theta):
+        if self._jac is not None:
+            return self._jac(self.y, self.x, theta).mean(axis=0)
+        theta = np.asarray(theta, dtype=float)
+        jac = np.empty((len(theta), len(theta)))
+        for k in range(len(theta)):
+            step = np.zeros(len(theta))
+            step[k] = _FD_STEP * (1.0 + abs(theta[k]))
+            jac[:, k] = (self.mean(theta + step)[0] - self.mean(theta - step)[0]) / (2 * step[k])
+        return jac
 
 
 def _clamp(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,8 +248,8 @@ def negbin_family(kappa) -> GlmFamily:
         pair = (float(kappa), float(kappa))
     else:
         pair = (float(kappa[0]), float(kappa[1]))
-    if pair[0] <= 0 or pair[1] <= 0:
-        raise SpecificationError(f"negbin dispersion must be positive, got {pair}")
+    if not (np.isfinite(pair).all() and min(pair) > 0):
+        raise SpecificationError(f"negbin dispersion must be finite and positive, got kappa={pair}")
     return GlmFamily(NEGBIN, kappa=pair)
 
 
@@ -277,19 +324,69 @@ def glm_mean(spec: MeanSpec, arm: int, x: np.ndarray, theta: np.ndarray) -> np.n
     return spec.family.mean(spec.eta(arm, x, theta), arm)
 
 
-def _embed_scores(n: int, p: int, idx: np.ndarray, factor: np.ndarray,
-                  design: np.ndarray) -> np.ndarray:
-    out = np.zeros((n, p))
-    out[:, idx] = factor[:, None] * design
-    return out
+class _DesignKernel:
+    """Arm kernel of a working model: scores score(y, eta) * (1, x) in the
+    arm's parameter slots, eta = design @ theta[slots] formed once per
+    evaluation, and the arm-mean Jacobian design' diag(weight) design / n
+    in the slots' block."""
+
+    def __init__(self, design, y, arm: int, slots, dim: int, forms):
+        self.design, self.y = design, np.asarray(y, dtype=float)
+        self.arm, self.slots, self.dim = arm, slots, dim
+        self.score, self.weight, self.loss = forms
+
+    def _eta(self, theta):
+        return self.design @ np.asarray(theta, dtype=float)[self.slots]
+
+    def scores(self, theta):
+        factor = self.score(self.y, self._eta(theta), self.arm)
+        out = np.zeros((len(self.y), self.dim))
+        out[:, self.slots] = factor[:, None] * self.design
+        return out
+
+    def unit_jacobians(self, theta):
+        w = self.weight(self.y, self._eta(theta), self.arm)
+        out = np.zeros((len(self.y), self.dim, self.dim))
+        block = w[:, None, None] * self.design[:, :, None] * self.design[:, None, :]
+        out[np.ix_(np.arange(len(self.y)), self.slots, self.slots)] = block
+        return out
+
+    def losses(self, theta):
+        return self.loss(self.y, self._eta(theta), self.arm)
+
+    def mean(self, theta, with_risk: bool = False):
+        eta = self._eta(theta)
+        psi = np.zeros(self.dim)
+        psi[self.slots] = self.score(self.y, eta, self.arm) @ self.design / len(self.y)
+        return psi, float(np.mean(self.loss(self.y, eta, self.arm))) if with_risk else None
+
+    def jacobian(self, theta):
+        w = self.weight(self.y, self._eta(theta), self.arm)
+        out = np.zeros((self.dim, self.dim))
+        out[np.ix_(self.slots, self.slots)] = self.design.T @ (w[:, None] * self.design)
+        return out / len(self.y)
 
 
-def _embed_blocks(n: int, p: int, idx: np.ndarray, factor: np.ndarray,
-                  design: np.ndarray) -> np.ndarray:
-    out = np.zeros((n, p, p))
-    block = factor[:, None, None] * design[:, :, None] * design[:, None, :]
-    out[np.ix_(np.arange(n), idx, idx)] = block
-    return out
+def _design_estfun(spec: MeanSpec, score, weight, loss) -> EstimatingFunction:
+    """Estimating function of a working model from three scalar functions of
+    (y, eta, arm): the score factor, its eta-derivative (the Jacobian weight)
+    and the loss whose eta-derivative is the score factor.  The per-unit
+    callables are evaluated by the same kernel."""
+    slots = {arm: spec.indices(arm) for arm in (1, 0)}
+
+    def kernel(arm, y, x):
+        return _DesignKernel(spec.design(x), y, arm, slots[arm], spec.dim, (score, weight, loss))
+
+    def per_unit(arm, method):
+        return lambda y, x, theta: getattr(kernel(arm, y, x), method)(theta)
+
+    return EstimatingFunction(
+        dim=spec.dim,
+        psi1=per_unit(1, "scores"), psi0=per_unit(0, "scores"),
+        jac1=per_unit(1, "unit_jacobians"), jac0=per_unit(0, "unit_jacobians"),
+        loss1=per_unit(1, "losses"), loss0=per_unit(0, "losses"),
+        kernel=kernel,
+    )
 
 
 def glm_score_estfun(spec: MeanSpec) -> EstimatingFunction:
@@ -301,44 +398,7 @@ def glm_score_estfun(spec: MeanSpec) -> EstimatingFunction:
     normalized minus log-density losses are attached.
     """
     fam = spec.family
-    p = spec.dim
-
-    def make_psi(arm: int):
-        idx = spec.indices(arm)
-
-        def psi(y, x, theta):
-            design = spec.design(x)
-            eta = design @ np.asarray(theta, dtype=float)[idx]
-            return _embed_scores(len(design), p, idx, fam.dloss_deta(y, eta, arm), design)
-
-        return psi
-
-    def make_jac(arm: int):
-        idx = spec.indices(arm)
-
-        def jac(y, x, theta):
-            design = spec.design(x)
-            eta = design @ np.asarray(theta, dtype=float)[idx]
-            return _embed_blocks(len(design), p, idx, fam.d2loss_deta2(y, eta, arm), design)
-
-        return jac
-
-    def make_loss(arm: int):
-        idx = spec.indices(arm)
-
-        def loss(y, x, theta):
-            design = spec.design(x)
-            eta = design @ np.asarray(theta, dtype=float)[idx]
-            return fam.loss(y, eta, arm)
-
-        return loss
-
-    return EstimatingFunction(
-        dim=p,
-        psi1=make_psi(1), psi0=make_psi(0),
-        jac1=make_jac(1), jac0=make_jac(0),
-        loss1=make_loss(1), loss0=make_loss(0),
-    )
+    return _design_estfun(spec, fam.dloss_deta, fam.d2loss_deta2, fam.loss)
 
 
 def squared_loss_estfun(spec: MeanSpec) -> EstimatingFunction:
@@ -353,50 +413,18 @@ def squared_loss_estfun(spec: MeanSpec) -> EstimatingFunction:
             "use a spec with interaction=True"
         )
     fam = spec.family
-    p = spec.dim
 
-    def make_psi(arm: int):
-        idx = spec.indices(arm)
+    def score(y, eta, arm):
+        return -2.0 * (y - fam.mean(eta, arm)) * fam.mean_deta(eta, arm)
 
-        def psi(y, x, theta):
-            design = spec.design(x)
-            eta = design @ np.asarray(theta, dtype=float)[idx]
-            resid = np.asarray(y, dtype=float) - fam.mean(eta, arm)
-            factor = -2.0 * resid * fam.mean_deta(eta, arm)
-            return _embed_scores(len(design), p, idx, factor, design)
+    def weight(y, eta, arm):
+        resid = y - fam.mean(eta, arm)
+        return 2.0 * (fam.mean_deta(eta, arm) ** 2 - resid * fam.mean_deta2(eta, arm))
 
-        return psi
+    def loss(y, eta, arm):
+        return (y - fam.mean(eta, arm)) ** 2
 
-    def make_jac(arm: int):
-        idx = spec.indices(arm)
-
-        def jac(y, x, theta):
-            design = spec.design(x)
-            eta = design @ np.asarray(theta, dtype=float)[idx]
-            resid = np.asarray(y, dtype=float) - fam.mean(eta, arm)
-            factor = 2.0 * (
-                fam.mean_deta(eta, arm) ** 2 - resid * fam.mean_deta2(eta, arm)
-            )
-            return _embed_blocks(len(design), p, idx, factor, design)
-
-        return jac
-
-    def make_loss(arm: int):
-        idx = spec.indices(arm)
-
-        def loss(y, x, theta):
-            design = spec.design(x)
-            eta = design @ np.asarray(theta, dtype=float)[idx]
-            return (np.asarray(y, dtype=float) - fam.mean(eta, arm)) ** 2
-
-        return loss
-
-    return EstimatingFunction(
-        dim=p,
-        psi1=make_psi(1), psi0=make_psi(0),
-        jac1=make_jac(1), jac0=make_jac(0),
-        loss1=make_loss(1), loss0=make_loss(0),
-    )
+    return _design_estfun(spec, score, weight, loss)
 
 
 def canonical_q_vectors(spec: MeanSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,6 +475,8 @@ class ModelConfig:
                 f"{sorted(set(_FAMILY_BUILDERS) | {'negbin'})}"
             )
         fixed = self.family_name == "negbin" and self.kappa not in (None, "moment")
+        if fixed:
+            negbin_family(float(self.kappa))  # raises unless finite and positive
         object.__setattr__(self, "kappa", float(self.kappa) if fixed else None)
 
     def build(self, n_covariates: int, kappa=None) -> MeanSpec:

@@ -436,7 +436,8 @@ def _imputation_from_dict(where: str, raw: dict) -> tuple[ModelConfig, str]:
     try:
         model = ModelConfig(raw["family"], bool(raw.get("interaction", True)), raw.get("kappa"))
     except SpecificationError as exc:
-        raise DataError(f"{where}: bad 'family': {exc}") from None
+        key = "kappa" if raw["family"] == "negbin" else "family"
+        raise DataError(f"{where}: bad '{key}': {exc}") from None
     return model, method
 
 

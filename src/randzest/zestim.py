@@ -21,6 +21,7 @@ Wald sets divide by N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -32,13 +33,12 @@ from .errors import (
     NumericalError,
     SpecificationError,
 )
-from .estfun import EstimatingFunction
+from .estfun import EstimatingFunction, UnitKernel
 from .finitepop import Dataset, PotentialTable, fp_cov_matrix
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 _MIN_STEP = 1e-12
-_FD_STEP = 1e-6
 
 
 @dataclass(eq=False)
@@ -70,22 +70,47 @@ class ZFit:
         }
 
 
-def empirical_psi(d: Dataset, f: EstimatingFunction, theta) -> np.ndarray:
-    """The observed estimating equation Psi_hat(theta)."""
-    theta = np.asarray(theta, dtype=float)
+def _arm_kernels(d: Dataset, f: EstimatingFunction, fused: bool) -> tuple:
+    """(kernel, share, unit mask) of the treated and the control arm: the
+    estimating function's own kernel if ``fused`` and it has one, else its
+    per-unit callables adapted."""
+    make = f.kernel if fused and f.kernel is not None else partial(UnitKernel, f)
     treated = d.arm_mask(1)
     control = ~treated
-    psi1 = f.psi1(d.y[treated], d.x[treated], theta)
-    psi0 = f.psi0(d.y[control], d.x[control], theta)
-    for arm, rows in ((1, psi1), (0, psi0)):
-        bad = ~np.isfinite(rows).all(axis=1)
+    return (
+        (make(1, d.y[treated], d.x[treated]), d.r1, treated),
+        (make(0, d.y[control], d.x[control]), d.r0, control),
+    )
+
+
+def _psi_risk(kernels, theta: np.ndarray, with_risk: bool) -> tuple[np.ndarray, float]:
+    """Psi_hat(theta) and, if asked, the empirical risk (else inf); non-finite
+    per-unit scores raise NumericalError naming their units."""
+    (k1, r1, units1), (k0, r0, units0) = kernels
+    psi1, risk1 = k1.mean(theta, with_risk)
+    psi0, risk0 = k0.mean(theta, with_risk)
+    for arm, kernel, mean, units in ((1, k1, psi1, units1), (0, k0, psi0, units0)):
+        if np.isfinite(mean).all():
+            continue
+        bad = ~np.isfinite(kernel.scores(theta)).all(axis=1)
         if bad.any():
-            where = np.flatnonzero(treated if arm == 1 else control)[bad][:5]
+            where = np.flatnonzero(units)[bad][:5]
             raise NumericalError(
                 f"psi_{arm} produced non-finite values at unit index(es) "
                 f"{where.tolist()} (theta={theta.tolist()})"
             )
-    return d.r1 * psi1.mean(axis=0) + d.r0 * psi0.mean(axis=0)
+    risk = float(r1 * risk1 + r0 * risk0) if with_risk else np.inf
+    return r1 * psi1 + r0 * psi0, risk
+
+
+def _jacobian(kernels, theta: np.ndarray) -> np.ndarray:
+    (k1, r1, _), (k0, r0, _) = kernels
+    return r1 * k1.jacobian(theta) + r0 * k0.jacobian(theta)
+
+
+def empirical_psi(d: Dataset, f: EstimatingFunction, theta) -> np.ndarray:
+    """The observed estimating equation Psi_hat(theta)."""
+    return _psi_risk(_arm_kernels(d, f, False), np.asarray(theta, dtype=float), False)[0]
 
 
 def population_psi(
@@ -114,26 +139,10 @@ def empirical_jacobian(d: Dataset, f: EstimatingFunction, theta) -> np.ndarray:
     """Jacobian of the empirical estimating equation at theta.
 
     Uses the per-unit analytic Jacobians when the estimating function
-    carries them, otherwise central finite differences of
-    :func:`empirical_psi` with per-coordinate step 1e-6 * (1 + |theta_k|).
+    carries them, otherwise central finite differences of each arm's mean
+    score with per-coordinate step 1e-6 * (1 + |theta_k|).
     """
-    theta = np.asarray(theta, dtype=float)
-    if f.has_jacobian:
-        treated = d.arm_mask(1)
-        control = ~treated
-        j1 = f.jac1(d.y[treated], d.x[treated], theta).mean(axis=0)
-        j0 = f.jac0(d.y[control], d.x[control], theta).mean(axis=0)
-        return d.r1 * j1 + d.r0 * j0
-    p = f.dim
-    jac = np.empty((p, p))
-    for k in range(p):
-        h = _FD_STEP * (1.0 + abs(theta[k]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[k] += h
-        dn[k] -= h
-        jac[:, k] = (empirical_psi(d, f, up) - empirical_psi(d, f, dn)) / (2.0 * h)
-    return jac
+    return _jacobian(_arm_kernels(d, f, False), np.asarray(theta, dtype=float))
 
 
 def _ridge(jac: np.ndarray) -> np.ndarray:
@@ -158,7 +167,8 @@ def solve(
     until the psi norm decreases (and, when the estimating function carries
     losses, the empirical risk does not increase).  A singular Jacobian is
     retried once with a scaled ridge.  Failure to converge never raises: the
-    returned fit has ``converged=False`` and a diagnostic message.
+    returned fit has ``converged=False`` and a diagnostic message.  Steps and
+    trials evaluate the kernels of ``f``, built once, psi and risk together.
 
     ``theta_cap`` flags divergence: iterates whose max-norm exceeds it stop
     the search as non-converged.  Scores that only saturate (separated
@@ -180,6 +190,7 @@ def solve(
     psi = empirical_psi(d, f, theta)  # raises NumericalError if non-finite
     use_risk = f.has_loss
     risk = empirical_risk(d, f, theta) if use_risk else np.inf
+    kernels = _arm_kernels(d, f, True)
     message = ""
     iterations = 0
     diverged = False
@@ -189,7 +200,7 @@ def solve(
             iterations -= 1
             break
         try:
-            jac = empirical_jacobian(d, f, theta)
+            jac = _jacobian(kernels, theta)
         except NumericalError as exc:
             message = f"Jacobian evaluation failed: {exc}"
             break
@@ -211,19 +222,15 @@ def solve(
         while lam >= _MIN_STEP:
             candidate = theta - lam * step
             try:
-                psi_new = empirical_psi(d, f, candidate)
+                psi_new, risk_new = _psi_risk(kernels, candidate, use_risk)
             except NumericalError:
                 lam *= 0.5
                 continue
             ok = np.linalg.norm(psi_new) < psi_norm
             if ok and use_risk:
-                risk_new = empirical_risk(d, f, candidate)
                 ok = np.isfinite(risk_new) and risk_new <= risk + 1e-14 * (1 + abs(risk))
             if ok:
-                theta = candidate
-                psi = psi_new
-                if use_risk:
-                    risk = empirical_risk(d, f, theta)
+                theta, psi, risk = candidate, psi_new, risk_new
                 accepted = True
                 break
             lam *= 0.5
@@ -237,15 +244,12 @@ def solve(
             while lam >= _MIN_STEP:
                 candidate = theta - lam * psi
                 try:
-                    psi_new = empirical_psi(d, f, candidate)
+                    psi_new, risk_new = _psi_risk(kernels, candidate, True)
                 except NumericalError:
                     lam *= 0.5
                     continue
-                risk_new = empirical_risk(d, f, candidate)
                 if np.isfinite(risk_new) and risk_new <= risk - 1e-4 * lam * grad_sq:
-                    theta = candidate
-                    psi = psi_new
-                    risk = risk_new
+                    theta, psi, risk = candidate, psi_new, risk_new
                     accepted = True
                     break
                 lam *= 0.5
@@ -307,11 +311,9 @@ def sandwich(d: Dataset, f: EstimatingFunction, fit: ZFit) -> np.ndarray:
         raise DegenerateInputError(
             f"sandwich needs >= 2 units per arm, got n1={d.n1}, n0={d.n0}"
         )
-    theta = fit.theta_hat
-    treated = d.arm_mask(1)
-    control = ~treated
-    meat = d.r0 * fp_cov_matrix(f.psi1(d.y[treated], d.x[treated], theta)) + \
-        d.r1 * fp_cov_matrix(f.psi0(d.y[control], d.x[control], theta))
+    (k1, r1, _), (k0, r0, _) = _arm_kernels(d, f, False)
+    meat = r0 * fp_cov_matrix(k1.scores(fit.theta_hat)) + \
+        r1 * fp_cov_matrix(k0.scores(fit.theta_hat))
     jac = fit.jac_at_root
     try:
         half = np.linalg.solve(jac, meat)

@@ -72,6 +72,17 @@ class TestEstimate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "0", "-1"])
+    def test_bad_negbin_kappa_is_data_error(self, tmp_path, capsys, kappa):
+        csv_path = tmp_path / "d.csv"
+        write_count_csv(csv_path)
+        code = main([
+            "estimate", "--input", str(csv_path), "--estimator", "ma",
+            "--model", f"negbin:kappa={kappa}",
+        ])
+        assert code == 2
+        assert "kappa" in capsys.readouterr().err
+
     def test_separable_fit_is_solver_error(self, tmp_path, capsys):
         gen = rz.make_rng(5)
         n = 40

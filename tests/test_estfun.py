@@ -10,7 +10,7 @@ import pytest
 
 import randzest as rz
 from randzest.errors import SpecificationError
-from randzest.estfun import ETA_CLAMP, parse_model_spec
+from randzest.estfun import ETA_CLAMP, ModelConfig, parse_model_spec
 
 FAMILIES = {
     "gaussian": rz.gaussian_family,
@@ -240,6 +240,17 @@ class TestModelSpecStrings:
         assert config.kappa == 1.5
         spec = config.build(2)
         assert spec.family.kappa == (1.5, 1.5)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "0", "-1"])
+    def test_bad_kappa_rejected(self, text):
+        kappa = float(text)
+        message = rf"kappa=\({kappa}"
+        with pytest.raises(SpecificationError, match=message):
+            rz.negbin_family(kappa)
+        with pytest.raises(SpecificationError, match=message):
+            ModelConfig("negbin", kappa=kappa)
+        with pytest.raises(SpecificationError, match=message):
+            parse_model_spec(f"negbin:interact:kappa={text}")
 
     def test_unknown_family(self):
         with pytest.raises(SpecificationError, match="unknown family"):

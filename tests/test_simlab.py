@@ -226,6 +226,8 @@ class TestScenarioFiles:
         ({"interaction": True, "method": "mle"}, "family"),
         ({"family": "weibull"}, "family"),
         ({"family": "poisson", "method": "newton"}, "method"),
+        ({"family": "negbin", "kappa": -1.0}, "kappa"),
+        ({"family": "negbin", "kappa": float("nan")}, "kappa"),
     ])
     def test_bad_imputation_rejected_at_load(self, tmp_path, entry, key):
         doc = {

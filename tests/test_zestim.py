@@ -2,12 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import randzest as rz
 from randzest.errors import NumericalError, SpecificationError
 from randzest.zestim import empirical_jacobian
 
-from test_estfun import fd_jacobian, rel_err
+from test_estfun import FAMILIES, fd_jacobian, rel_err
+
+# family x estimation method x interaction; squared loss needs interaction
+MODELS = [
+    (family, method, interaction)
+    for family in sorted(FAMILIES)
+    for method in ("mle", "squared-loss")
+    for interaction in (True, False)
+    if method == "mle" or interaction
+]
 
 
 def common_mean_estfun():
@@ -31,7 +42,7 @@ class TestEmpiricalPsi:
         assert rz.empirical_psi(d, f, np.array([0.0]))[0] == pytest.approx(1.5)
 
     def test_root_certificate(self, rng):
-        d, spec = _poisson_data(rng)
+        d, spec = _glm_data(rng)
         f = rz.glm_score_estfun(spec)
         fit = rz.solve(d, f)
         assert fit.converged
@@ -48,14 +59,32 @@ class TestEmpiricalPsi:
             rz.empirical_psi(d, f, np.zeros(1))
 
 
-def _poisson_data(gen, n=80):
+def _glm_data(gen, family="poisson", interaction=True, n=80):
     x = gen.standard_normal((n, 2))
-    spec = rz.MeanSpec(rz.poisson_family(), True, 2)
+    spec = rz.MeanSpec(FAMILIES[family](), interaction, 2)
     theta = 0.4 * gen.standard_normal(spec.dim)
-    y1 = gen.poisson(rz.glm_mean(spec, 1, x, theta)).astype(float)
-    y0 = gen.poisson(rz.glm_mean(spec, 0, x, theta)).astype(float)
+    if family == "gaussian":
+        draw = lambda mean: mean + gen.standard_normal(n)  # noqa: E731
+    elif family == "binomial":
+        draw = lambda mean: gen.binomial(1, mean).astype(float)  # noqa: E731
+    else:
+        draw = lambda mean: gen.poisson(mean).astype(float)  # noqa: E731
+    y1 = draw(rz.glm_mean(spec, 1, x, theta))
+    y0 = draw(rz.glm_mean(spec, 0, x, theta))
     d = rz.observe(rz.PotentialTable(y1, y0, x), rz.draw_assignment(gen, n, n // 2))
     return d, spec
+
+
+def _estfun(method, spec):
+    if method == "mle":
+        return rz.glm_score_estfun(spec)
+    return rz.squared_loss_estfun(spec)
+
+
+def _fit(d, spec, method):
+    if method == "mle":
+        return rz.fit_working_model(d, spec)
+    return rz.fit_optimal_adjustment(d, spec)
 
 
 class TestPopulationPsi:
@@ -136,13 +165,30 @@ class TestSolve:
         with pytest.raises(NumericalError):
             rz.solve(d, common_mean_estfun(), np.array([np.inf]))
 
-    def test_solver_jacobian_matches_fd(self, rng):
-        d, spec = _poisson_data(rng)
-        f = rz.glm_score_estfun(spec)
+    @pytest.mark.parametrize("family,method,interaction", MODELS)
+    def test_solver_jacobian_matches_fd(self, rng, family, method, interaction):
+        d, spec = _glm_data(rng, family, interaction)
+        f = _estfun(method, spec)
         theta = 0.1 * rng.standard_normal(spec.dim)
         analytic = empirical_jacobian(d, f, theta)
         numeric = fd_jacobian(lambda t: rz.empirical_psi(d, f, t), theta)
         assert rel_err(analytic, numeric) < 1e-6
+        # the solver's kernels give the averaged per-unit tensors in Gram
+        # form (without interaction the arms' blocks add on the shared
+        # slopes), and psi and risk from one eta
+        treated = d.arm_mask(1)
+        control = ~treated
+        kernels = [(d.r1, f.kernel(1, d.y[treated], d.x[treated])),
+                   (d.r0, f.kernel(0, d.y[control], d.x[control]))]
+        tensors = d.r1 * f.jac1(d.y[treated], d.x[treated], theta).mean(axis=0) \
+            + d.r0 * f.jac0(d.y[control], d.x[control], theta).mean(axis=0)
+        gram = sum(share * k.jacobian(theta) for share, k in kernels)
+        assert rel_err(gram, tensors) < 1e-12
+        assert rel_err(gram, numeric) < 1e-6
+        psi = sum(share * k.mean(theta, True)[0] for share, k in kernels)
+        risk = sum(share * k.mean(theta, True)[1] for share, k in kernels)
+        assert rel_err(psi, rz.empirical_psi(d, f, theta)) < 1e-12
+        assert risk == pytest.approx(rz.empirical_risk(d, f, theta), rel=1e-12)
 
 
 class TestSandwich:
@@ -161,22 +207,32 @@ class TestSandwich:
         fit = rz.solve(d, common_mean_estfun())
         np.testing.assert_allclose(fit.sigma_hat, 0.0, atol=1e-14)
 
-    def test_symmetric_psd(self, rng):
-        d, spec = _poisson_data(rng)
-        fit = rz.solve(d, rz.glm_score_estfun(spec))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(model=st.sampled_from(MODELS), n=st.integers(20, 200),
+           seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_psd(self, model, n, seed):
+        family, method, interaction = model
+        d, spec = _glm_data(rz.make_rng(seed), family, interaction, n)
+        fit = _fit(d, spec, method)
+        assume(fit.converged and fit.sigma_hat is not None)
         sigma = fit.sigma_hat
         np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
         assert np.linalg.eigvalsh(sigma).min() >= -1e-10
 
-    def test_permutation_equivariance(self, rng):
-        d, spec = _poisson_data(rng)
-        f = rz.glm_score_estfun(spec)
-        fit = rz.solve(d, f)
-        perm = rng.permutation(d.n)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(model=st.sampled_from(MODELS), n=st.integers(20, 200),
+           seed=st.integers(0, 2**32 - 1))
+    def test_permutation_equivariance(self, model, n, seed):
+        family, method, interaction = model
+        gen = rz.make_rng(seed)
+        d, spec = _glm_data(gen, family, interaction, n)
+        fit = _fit(d, spec, method)
+        assume(fit.converged and fit.sigma_hat is not None)
+        perm = gen.permutation(d.n)
         d2 = rz.Dataset(rz.Assignment(d.z[perm]), d.y[perm], d.x[perm])
-        fit2 = rz.solve(d2, f)
-        np.testing.assert_allclose(fit.theta_hat, fit2.theta_hat, atol=1e-12)
-        np.testing.assert_allclose(fit.sigma_hat, fit2.sigma_hat, atol=1e-12)
+        fit2 = _fit(d2, spec, method)
+        np.testing.assert_allclose(fit.theta_hat, fit2.theta_hat, atol=1e-10)
+        np.testing.assert_allclose(fit.sigma_hat, fit2.sigma_hat, atol=1e-10)
 
     def test_null_effect_monte_carlo_calibration(self):
         # Difference-in-means as a Z-estimator: psi_1 = 2y - theta,
@@ -213,7 +269,7 @@ class TestSandwich:
         assert abs(mc_var - sigmas.mean()) / sigmas.mean() < 0.10
 
     def test_serialization_fields(self, rng):
-        d, spec = _poisson_data(rng)
+        d, spec = _glm_data(rng)
         fit = rz.solve(d, rz.glm_score_estfun(spec))
         doc = fit.to_document()
         assert set(doc) == {"theta", "sigma", "converged", "iterations", "psi_norm"}
@@ -235,7 +291,7 @@ class TestWald:
         assert lo == pytest.approx(-hi)
 
     def test_center_always_inside(self, rng):
-        d, spec = _poisson_data(rng)
+        d, spec = _glm_data(rng)
         fit = rz.solve(d, rz.glm_score_estfun(spec))
         v = rng.standard_normal((spec.dim, 2))
         ws = rz.wald_set(fit, v, alpha=0.05)
