@@ -7,9 +7,10 @@ Jacobians and loss functions.  All callables are vectorized over units:
 covariate matrix and returns an (n, p) matrix of per-unit scores.
 
 The solver evaluates each arm through an arm kernel (see :class:`UnitKernel`).
-The working-model factories define each score by three scalar functions of
-(y, eta) -- score factor, Jacobian weight, loss -- whose kernel forms eta
-once per theta and the Jacobian as a weighted Gram matrix.
+The working-model factories here and :func:`randzest.ite.ite_estfun` define
+each score by three scalar functions of (y, eta) -- score factor, Jacobian
+weight, loss -- whose kernel forms eta once per theta and the Jacobian as a
+weighted Gram matrix.
 
 The concrete families here are the canonical-link GLMs (linear, logistic,
 Poisson) plus negative binomial regression with a log link and fixed
@@ -262,6 +263,20 @@ _FAMILY_BUILDERS = {
 }
 
 
+def intercept_design(x: np.ndarray, n_covariates: int) -> np.ndarray:
+    """Intercept-augmented rows (n, n_covariates + 1) of a covariate matrix.
+
+    Consumes the first ``n_covariates`` columns of x, so a narrower working
+    model (intercept-only, say) can run on a wider dataset.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x.reshape(-1, 1)
+    if x.shape[1] < n_covariates:
+        raise SpecificationError(f"model needs {n_covariates} covariates, data has {x.shape[1]}")
+    return np.column_stack([np.ones(x.shape[0]), x[:, :n_covariates]])
+
+
 @dataclass(frozen=True, eq=False)
 class MeanSpec:
     """Arm-specific GLM mean functions h_z(x; theta) over a flat parameter.
@@ -296,19 +311,8 @@ class MeanSpec:
         return 0 if arm == 1 else 1
 
     def design(self, x: np.ndarray) -> np.ndarray:
-        """Intercept-augmented covariate rows (n, d+1).
-
-        Consumes the first ``n_covariates`` columns of x, so a narrower
-        working model (intercept-only, say) can run on a wider dataset.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        if x.shape[1] < self.n_covariates:
-            raise SpecificationError(
-                f"model needs {self.n_covariates} covariates, data has {x.shape[1]}"
-            )
-        return np.column_stack([np.ones(x.shape[0]), x[:, : self.n_covariates]])
+        """Intercept-augmented covariate rows (n, d+1); see :func:`intercept_design`."""
+        return intercept_design(x, self.n_covariates)
 
     def eta(self, arm: int, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -325,9 +329,9 @@ def glm_mean(spec: MeanSpec, arm: int, x: np.ndarray, theta: np.ndarray) -> np.n
 
 
 class _DesignKernel:
-    """Arm kernel of a working model: scores score(y, eta) * (1, x) in the
-    arm's parameter slots, eta = design @ theta[slots] formed once per
-    evaluation, and the arm-mean Jacobian design' diag(weight) design / n
+    """Arm kernel of a model whose scores are score(y, eta) * design rows in
+    the arm's parameter slots, eta = design @ theta[slots]: eta is formed once
+    per evaluation and the arm-mean Jacobian is design' diag(weight) design / n
     in the slots' block."""
 
     def __init__(self, design, y, arm: int, slots, dim: int, forms):
@@ -367,26 +371,33 @@ class _DesignKernel:
         return out / len(self.y)
 
 
-def _design_estfun(spec: MeanSpec, score, weight, loss) -> EstimatingFunction:
-    """Estimating function of a working model from three scalar functions of
-    (y, eta, arm): the score factor, its eta-derivative (the Jacobian weight)
-    and the loss whose eta-derivative is the score factor.  The per-unit
-    callables are evaluated by the same kernel."""
-    slots = {arm: spec.indices(arm) for arm in (1, 0)}
+def _design_estfun(dim: int, design, slots, score, weight, loss) -> EstimatingFunction:
+    """Estimating function on ``dim`` parameters whose arm-z scores are
+    score(y, eta, z) * design(x) in the positions ``slots[z]``, with
+    eta = design(x) @ theta[slots[z]].  ``weight`` is the eta-derivative of
+    ``score`` (the Jacobian weight) and ``loss`` the function whose
+    eta-derivative is ``score``.  The per-unit callables are evaluated by the
+    same kernel."""
 
     def kernel(arm, y, x):
-        return _DesignKernel(spec.design(x), y, arm, slots[arm], spec.dim, (score, weight, loss))
+        return _DesignKernel(design(x), y, arm, slots[arm], dim, (score, weight, loss))
 
     def per_unit(arm, method):
         return lambda y, x, theta: getattr(kernel(arm, y, x), method)(theta)
 
     return EstimatingFunction(
-        dim=spec.dim,
+        dim=dim,
         psi1=per_unit(1, "scores"), psi0=per_unit(0, "scores"),
         jac1=per_unit(1, "unit_jacobians"), jac0=per_unit(0, "unit_jacobians"),
         loss1=per_unit(1, "losses"), loss0=per_unit(0, "losses"),
         kernel=kernel,
     )
+
+
+def _spec_estfun(spec: MeanSpec, score, weight, loss) -> EstimatingFunction:
+    """:func:`_design_estfun` of a working GLM's mean functions."""
+    slots = {arm: spec.indices(arm) for arm in (1, 0)}
+    return _design_estfun(spec.dim, spec.design, slots, score, weight, loss)
 
 
 def glm_score_estfun(spec: MeanSpec) -> EstimatingFunction:
@@ -398,7 +409,7 @@ def glm_score_estfun(spec: MeanSpec) -> EstimatingFunction:
     normalized minus log-density losses are attached.
     """
     fam = spec.family
-    return _design_estfun(spec, fam.dloss_deta, fam.d2loss_deta2, fam.loss)
+    return _spec_estfun(spec, fam.dloss_deta, fam.d2loss_deta2, fam.loss)
 
 
 def squared_loss_estfun(spec: MeanSpec) -> EstimatingFunction:
@@ -424,7 +435,7 @@ def squared_loss_estfun(spec: MeanSpec) -> EstimatingFunction:
     def loss(y, eta, arm):
         return (y - fam.mean(eta, arm)) ** 2
 
-    return _design_estfun(spec, score, weight, loss)
+    return _spec_estfun(spec, score, weight, loss)
 
 
 def canonical_q_vectors(spec: MeanSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

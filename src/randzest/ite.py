@@ -7,27 +7,31 @@ has the unbiased single-unit estimate
 
 and any estimating equation that is linear in the tau_i's stays estimable
 after substituting tau_hat_i.  That restricts the working models to an
-exponential-dispersion shape with natural-parameter part v(x; theta) and
-normalizer u(x; theta); the dispersion never enters the equation and is not
-estimated.  The per-arm estimating functions are
+exponential-dispersion shape with natural parameter t = x~'theta (x~ the
+covariates with an intercept column prepended) and normalizer u(t); the
+dispersion never enters the equation and is not estimated.  The per-arm
+estimating functions are the theta-gradients of the losses u(t) - s_z(y) t
+with s_1(y) = y / r1 and s_0(y) = -y / r0:
 
-    psi_1 =  y / r1 * vdot(x; theta) - udot(x; theta)
-    psi_0 = -y / r0 * vdot(x; theta) - udot(x; theta),
+    psi_1 = (u'(t) - y / r1) x~
+    psi_0 = (u'(t) + y / r0) x~,
 
-solved with the generic Z-estimation machinery and covered by the same
-conservative sandwich.  Model callables receive whatever covariate rows the
-caller supplies and prepend their own intercept column.
+so the empirical equation is the average of (u'(t_i) - tau_hat_i) x~_i over
+all units.  It is solved with the generic Z-estimation machinery, on the
+same design kernel as the working GLMs (Jacobian weight u''(t)), and covered
+by the same conservative sandwich.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import SpecificationError
-from .estfun import EstimatingFunction
+from .estfun import EstimatingFunction, _design_estfun, intercept_design
 from .finitepop import Dataset, fp_var
 from .zestim import ZFit, empirical_jacobian, empirical_psi, sandwich, solve
 
@@ -59,68 +63,43 @@ def pseudo_effects_adjusted(
 
 @dataclass(frozen=True, eq=False)
 class EdfTauModel:
-    """Effect working model: v is the natural-parameter part, u the normalizer.
+    """Effect working model with natural parameter t = x~'theta.
 
-    ``v``/``u`` map (x, theta) to per-unit values; ``vdot``/``udot`` return
-    (n, p) gradients and the optional Hessians (n, p, p) enable analytic
-    Newton steps.
+    ``u`` is the normalizer and ``u_dt``/``u_dt2`` its first two derivatives
+    in t, each mapping an (n,) vector of t values to per-unit values.
+    ``dim`` counts the columns of x~, intercept included, so the model uses
+    the first dim - 1 covariate columns of the data it is given.
     """
 
     dim: int
-    v: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    u: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    vdot: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    udot: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    vhess: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    uhess: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    u: Callable[[np.ndarray], np.ndarray]
+    u_dt: Callable[[np.ndarray], np.ndarray]
+    u_dt2: Callable[[np.ndarray], np.ndarray]
     description: str = ""
 
 
 def ite_estfun(model: EdfTauModel, r1: float) -> EstimatingFunction:
     """Estimating function whose empirical equation averages
-    tau_hat_i * vdot - udot over all units."""
+    (u'(t_i) - tau_hat_i) x~_i over all units; psi is the gradient of the
+    losses u(t) - s_z(y) t."""
     if not 0.0 < r1 < 1.0:
         raise SpecificationError(f"r1 must be in (0, 1), got {r1}")
-    r0 = 1.0 - r1
+    scale = {1: 1.0 / r1, 0: -1.0 / (1.0 - r1)}  # s_z(y) = scale[z] * y
 
-    def psi1(y, x, theta):
-        y = np.asarray(y, dtype=float)
-        return y[:, None] / r1 * model.vdot(x, theta) - model.udot(x, theta)
+    def score(y, t, arm):
+        return model.u_dt(t) - scale[arm] * y
 
-    def psi0(y, x, theta):
-        y = np.asarray(y, dtype=float)
-        return -y[:, None] / r0 * model.vdot(x, theta) - model.udot(x, theta)
+    def weight(y, t, arm):
+        return model.u_dt2(t)
 
-    jac1 = jac0 = None
-    if model.vhess is not None and model.uhess is not None:
+    def loss(y, t, arm):
+        return model.u(t) - scale[arm] * y * t
 
-        def jac1(y, x, theta):
-            y = np.asarray(y, dtype=float)
-            return y[:, None, None] / r1 * model.vhess(x, theta) - model.uhess(x, theta)
-
-        def jac0(y, x, theta):
-            y = np.asarray(y, dtype=float)
-            return -y[:, None, None] / r0 * model.vhess(x, theta) - model.uhess(x, theta)
-
-    def loss1(y, x, theta):
-        y = np.asarray(y, dtype=float)
-        return model.u(x, theta) - y / r1 * model.v(x, theta)
-
-    def loss0(y, x, theta):
-        y = np.asarray(y, dtype=float)
-        return model.u(x, theta) + y / r0 * model.v(x, theta)
-
-    return EstimatingFunction(
-        dim=model.dim, psi1=psi1, psi0=psi0,
-        jac1=jac1, jac0=jac0, loss1=loss1, loss0=loss0,
+    slots = np.arange(model.dim)
+    return _design_estfun(
+        model.dim, partial(intercept_design, n_covariates=model.dim - 1),
+        {1: slots, 0: slots}, score, weight, loss,
     )
-
-
-def _intercepted(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    return np.column_stack([np.ones(x.shape[0]), x])
 
 
 def _with_columns(d: Dataset, columns) -> Dataset:
@@ -136,35 +115,13 @@ def _with_columns(d: Dataset, columns) -> Dataset:
 
 
 def normal_linear_model(n_columns: int) -> EdfTauModel:
-    """Normal effect model with linear mean: v = x~'theta, u = v^2 / 2.
+    """Normal effect model with linear mean: u(t) = t^2 / 2.
 
     ``n_columns`` counts the covariate columns; the intercept is prepended
     internally, so dim = n_columns + 1.
     """
-    p = n_columns + 1
-
-    def v(x, theta):
-        return _intercepted(x) @ theta
-
-    def u(x, theta):
-        return 0.5 * (_intercepted(x) @ theta) ** 2
-
-    def vdot(x, theta):
-        return _intercepted(x)
-
-    def udot(x, theta):
-        design = _intercepted(x)
-        return (design @ theta)[:, None] * design
-
-    def vhess(x, theta):
-        return np.zeros((np.asarray(x).shape[0], p, p))
-
-    def uhess(x, theta):
-        design = _intercepted(x)
-        return design[:, :, None] * design[:, None, :]
-
     return EdfTauModel(
-        dim=p, v=v, u=u, vdot=vdot, udot=udot, vhess=vhess, uhess=uhess,
+        dim=n_columns + 1, u=lambda t: 0.5 * t**2, u_dt=lambda t: t, u_dt2=np.ones_like,
         description="normal-linear",
     )
 
@@ -186,7 +143,7 @@ def fit_normal_linear(d: Dataset, columns=None) -> NormalLinearFit:
     machinery.
     """
     d_fit = _with_columns(d, columns)
-    design = _intercepted(d_fit.x)
+    design = intercept_design(d_fit.x, d_fit.x.shape[1])
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise SpecificationError("effect-model design matrix is rank deficient")
     tau_hat = pseudo_effects(d_fit)
@@ -214,43 +171,31 @@ def fit_normal_linear(d: Dataset, columns=None) -> NormalLinearFit:
 def ternary_model(n_columns: int, gamma: float) -> EdfTauModel:
     """Three-point effect model for binary outcomes (tau in {-1, 0, 1}).
 
-    v = x~'beta and u = log(exp(v) + exp(-v) + gamma); gamma = 2 matches the
+    u(t) = log(exp(t) + exp(-t) + gamma); gamma = 2 matches the
     modified-covariate likelihood, gamma = 1 the multinomial logit.  The
-    predictor is clamped to +/-35 before exponentials.
+    natural parameter is clamped to +/-35 before exponentials.
     """
-    p = n_columns + 1
-    log_gamma = np.log(gamma)
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise SpecificationError(f"gamma must be finite and positive, got {gamma}")
 
-    def _parts(x, theta):
-        design = _intercepted(x)
-        t = np.clip(design @ theta, -35.0, 35.0)
+    def _exps(t):
+        t = np.clip(t, -35.0, 35.0)
         ep, em = np.exp(t), np.exp(-t)
-        return design, t, ep, em, ep + em + gamma
+        return ep, em, ep + em + gamma
 
-    def v(x, theta):
-        return _intercepted(x) @ theta
+    def u(t):
+        return np.log(_exps(t)[2])
 
-    def u(x, theta):
-        _, t, _, _, _ = _parts(x, theta)
-        return np.logaddexp(np.logaddexp(t, -t), log_gamma)
+    def u_dt(t):
+        ep, em, denom = _exps(t)
+        return (ep - em) / denom
 
-    def vdot(x, theta):
-        return _intercepted(x)
-
-    def udot(x, theta):
-        design, _, ep, em, denom = _parts(x, theta)
-        return ((ep - em) / denom)[:, None] * design
-
-    def vhess(x, theta):
-        return np.zeros((np.asarray(x).shape[0], p, p))
-
-    def uhess(x, theta):
-        design, _, ep, em, denom = _parts(x, theta)
-        sprime = (gamma * (ep + em) + 4.0) / denom**2
-        return sprime[:, None, None] * design[:, :, None] * design[:, None, :]
+    def u_dt2(t):
+        ep, em, denom = _exps(t)
+        return (gamma * (ep + em) + 4.0) / denom**2
 
     return EdfTauModel(
-        dim=p, v=v, u=u, vdot=vdot, udot=udot, vhess=vhess, uhess=uhess,
+        dim=n_columns + 1, u=u, u_dt=u_dt, u_dt2=u_dt2,
         description=f"ternary(gamma={gamma})",
     )
 
@@ -266,8 +211,6 @@ def fit_ternary(d: Dataset, gamma: float = 2.0, columns=None) -> TernaryFit:
     """Fit the ternary effect model to a binary-outcome experiment."""
     if not np.isin(d.y, (0.0, 1.0)).all():
         raise SpecificationError("ternary effect model needs outcomes in {0, 1}")
-    if gamma <= 0:
-        raise SpecificationError(f"gamma must be positive, got {gamma}")
     d_fit = _with_columns(d, columns)
     model = ternary_model(d_fit.x.shape[1], gamma)
     fit = solve(d_fit, ite_estfun(model, d_fit.r1))

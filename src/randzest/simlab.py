@@ -19,7 +19,6 @@ import io
 import json
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -120,6 +119,8 @@ class Scenario:
     def __post_init__(self):
         if not 1 <= self.n1 <= self.n - 1:
             raise SpecificationError(f"need 1 <= n1 <= N-1, got n1={self.n1}, N={self.n}")
+        if not 0.0 < self.alpha < 1.0:
+            raise SpecificationError(f"alpha must be in (0, 1), got {self.alpha}")
         if not self.estimators:
             raise SpecificationError("scenario needs a non-empty estimator roster")
         if self.dgp not in ("heterogeneous", "null", "custom"):
@@ -163,6 +164,16 @@ def gen_population(s: Scenario, rng: np.random.Generator) -> PotentialTable:
 # ---------------------------------------------------------------------------
 
 _METHODS = ("mle", "squared-loss")
+
+
+def _check_method(model: ModelConfig, method: str) -> None:
+    if method not in _METHODS:
+        raise SpecificationError(f"unknown method '{method}'; use one of {_METHODS}")
+    if method == "squared-loss" and not model.interaction:
+        raise SpecificationError(
+            f"squared-loss estimation of a {model.family_name} mean needs disjoint "
+            "per-arm parameters; use a model with interaction"
+        )
 
 
 def _fit(d: Dataset, model: ModelConfig, method: str, cache: dict):
@@ -209,9 +220,8 @@ def build_estimator(
     if kind == "ai":
         if not config.imputations:
             raise SpecificationError("estimator kind 'ai' needs imputations")
-        for _, method in config.imputations:
-            if method not in _METHODS:
-                raise SpecificationError(f"unknown imputation method '{method}'")
+        for model, method in config.imputations:
+            _check_method(model, method)
 
         def estimate(d: Dataset, cache: dict) -> AteResult:
             specs: list[ImputationSpec] = []
@@ -230,8 +240,7 @@ def build_estimator(
         raise SpecificationError(f"estimator kind '{kind}' needs a family")
     model = ModelConfig(config.family, config.interaction, config.kappa)
     method = config.method if kind == "ma" else "mle"
-    if method not in _METHODS:
-        raise SpecificationError(f"unknown ma method '{method}'")
+    _check_method(model, method)
 
     def estimate(d: Dataset, cache: dict) -> AteResult:
         spec, fit = _fit(d, model, method, cache)
@@ -299,14 +308,6 @@ class StudyTable:
 _FAILURE_KINDS = (RandzestError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("RANDZEST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_study(
     s: Scenario,
     replications: Optional[int] = None,
@@ -333,31 +334,22 @@ def run_study(
     covered = np.zeros((n_est, reps), dtype=bool)
     failed = np.zeros((n_est, reps), dtype=bool)
 
-    def run_one(rep: int) -> None:
-        rep_rng = make_rng(s.seed, stream=rep + 1)
-        data = observe(pot, draw_assignment(rep_rng, s.n, s.n1))
-        cache: dict = {}
-        for j, estimate in enumerate(estimators):
-            try:
-                result = estimate(data, cache)
-                lo, hi = result.ci(s.alpha)
-            except _FAILURE_KINDS:
-                failed[j, rep] = True
-                continue
-            est[j, rep] = result.tau_hat
-            ses[j, rep] = np.sqrt(result.variance_hat)
-            covered[j, rep] = lo <= truth <= hi
-
-    # The filter state is process-global: set it once here, never in workers.
-    workers = _worker_count()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_one, range(reps)))
-        else:
-            for rep in range(reps):
-                run_one(rep)
+        for rep in range(reps):
+            rep_rng = make_rng(s.seed, stream=rep + 1)
+            data = observe(pot, draw_assignment(rep_rng, s.n, s.n1))
+            cache: dict = {}
+            for j, estimate in enumerate(estimators):
+                try:
+                    result = estimate(data, cache)
+                    lo, hi = result.ci(s.alpha)
+                except _FAILURE_KINDS:
+                    failed[j, rep] = True
+                    continue
+                est[j, rep] = result.tau_hat
+                ses[j, rep] = np.sqrt(result.variance_hat)
+                covered[j, rep] = lo <= truth <= hi
 
     scale = np.sqrt(s.n)
     rows = []

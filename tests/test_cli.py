@@ -115,6 +115,21 @@ class TestEstimate:
         assert lines[0] == "unit,fitted_effect"
         assert len(lines) == 81
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0"])
+    def test_bad_ternary_gamma_is_data_error(self, tmp_path, capsys, gamma):
+        gen = rz.make_rng(9)
+        rows = ["z,y,x1"] + [
+            f"{i % 2},{int(gen.random() < 0.5)},{gen.standard_normal()}" for i in range(40)
+        ]
+        csv_path = tmp_path / "binary.csv"
+        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main([
+            "estimate", "--input", str(csv_path), "--estimator", "ite-ternary",
+            "--gamma", gamma,
+        ])
+        assert code == 2
+        assert "gamma" in capsys.readouterr().err
+
     def test_output_redirect(self, tmp_path):
         csv_path = tmp_path / "d.csv"
         write_count_csv(csv_path)

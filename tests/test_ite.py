@@ -7,7 +7,7 @@ import randzest as rz
 from randzest.errors import SpecificationError
 from randzest.ite import normal_linear_model, ternary_model
 
-from test_estfun import fd_gradient, fd_jacobian, rel_err
+from test_estfun import fd_jacobian, rel_err
 
 
 class TestPseudoEffects:
@@ -65,11 +65,11 @@ class TestIteEstfun:
         model = normal_linear_model(2)
         f = rz.ite_estfun(model, d.r1)
         tau_hat = rz.pseudo_effects(d)
+        design = np.column_stack([np.ones(d.n), d.x])
         for _ in range(5):
             theta = rng.standard_normal(3)
             direct = np.mean(
-                tau_hat[:, None] * model.vdot(d.x, theta) - model.udot(d.x, theta),
-                axis=0,
+                (model.u_dt(design @ theta) - tau_hat)[:, None] * design, axis=0
             )
             np.testing.assert_allclose(
                 rz.empirical_psi(d, f, theta), direct, atol=1e-12
@@ -90,24 +90,24 @@ class TestIteEstfun:
             acc += rz.empirical_psi(rz.observe(pot, a), f, theta)
             count += 1
         tau = y1 - y0
+        design = np.column_stack([np.ones(6), x])
         expected = np.mean(
-            tau[:, None] * model.vdot(x, theta) - model.udot(x, theta), axis=0
+            (model.u_dt(design @ theta) - tau)[:, None] * design, axis=0
         )
         np.testing.assert_allclose(acc / count, expected, atol=1e-12)
 
     def test_zero_model_gives_zero_psi(self, rng):
-        model = rz.EdfTauModel(
-            dim=1,
-            v=lambda x, t: np.zeros(len(x)),
-            u=lambda x, t: np.zeros(len(x)),
-            vdot=lambda x, t: np.zeros((len(x), 1)),
-            udot=lambda x, t: np.zeros((len(x), 1)),
-        )
+        # u = 0 leaves only the pseudo-effect term, so the intercept-only
+        # model (dim 1) has psi = -mean(tau_hat_i) for every theta
+        model = rz.EdfTauModel(dim=1, u=np.zeros_like, u_dt=np.zeros_like,
+                               u_dt2=np.zeros_like)
         d, _ = _experiment()
         f = rz.ite_estfun(model, d.r1)
-        np.testing.assert_array_equal(
-            rz.empirical_psi(d, f, rng.standard_normal(1)), [0.0]
-        )
+        expected = [-np.mean(rz.pseudo_effects(d))]
+        for _ in range(3):
+            np.testing.assert_allclose(
+                rz.empirical_psi(d, f, rng.standard_normal(1)), expected, atol=1e-12
+            )
 
     def test_affine_in_outcomes(self, rng):
         # for fixed theta the empirical equation is affine in y, so the
@@ -130,17 +130,11 @@ class TestIteEstfun:
         d, _ = _experiment()
         for model in (normal_linear_model(2), ternary_model(2, 2.0)):
             theta = 0.5 * rng.standard_normal(model.dim)
-            x = d.x[:3]
-            vdot = model.vdot(x, theta)
-            udot = model.udot(x, theta)
-            for i in range(3):
-                numeric_v = fd_gradient(lambda t: model.v(x, t)[i], theta)
-                assert rel_err(vdot[i], numeric_v) < 1e-6
-                numeric_u = fd_gradient(lambda t: model.u(x, t)[i], theta)
-                assert rel_err(udot[i], numeric_u) < 1e-6
-            ajac = model.uhess(x, theta)
-            njac = fd_jacobian(lambda t: model.udot(x, t), theta)
-            assert rel_err(ajac, njac) < 1e-6
+            t = np.column_stack([np.ones(3), d.x[:3]]) @ theta
+            # u and its derivatives act unit by unit, so the finite-difference
+            # Jacobian in t is diagonal
+            assert rel_err(model.u_dt(t), fd_jacobian(model.u, t).diagonal()) < 1e-6
+            assert rel_err(model.u_dt2(t), fd_jacobian(model.u_dt, t).diagonal()) < 1e-6
 
 
 class TestNormalLinear:
@@ -202,13 +196,13 @@ class TestTernary:
         assert fit.sigma_hat is not None
 
     def test_score_at_origin_is_pseudo_effect_average(self):
-        # at beta = 0 the normalizer gradient vanishes, so the empirical
-        # equation reduces to mean(tau_hat_i * x~_i)
+        # at beta = 0 the normalizer derivative u'(0) vanishes, so the
+        # empirical equation reduces to -mean(tau_hat_i * x~_i)
         d = self._binary_experiment(seed=52)
         model = ternary_model(2, 2.0)
         f = rz.ite_estfun(model, d.r1)
         design = np.column_stack([np.ones(d.n), d.x])
-        expected = (rz.pseudo_effects(d)[:, None] * design).mean(axis=0)
+        expected = -(rz.pseudo_effects(d)[:, None] * design).mean(axis=0)
         np.testing.assert_allclose(
             rz.empirical_psi(d, f, np.zeros(3)), expected, atol=1e-12
         )
@@ -225,8 +219,9 @@ class TestTernary:
 
     def test_rejects_bad_gamma(self):
         d = self._binary_experiment()
-        with pytest.raises(SpecificationError, match="gamma"):
-            rz.fit_ternary(d, gamma=0.0)
+        for gamma in (0.0, np.nan, np.inf):
+            with pytest.raises(SpecificationError, match="gamma"):
+                rz.fit_ternary(d, gamma=gamma)
 
 
 class TestDecomposition:

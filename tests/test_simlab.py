@@ -63,6 +63,11 @@ class TestGenPopulation:
         with pytest.raises(SpecificationError):
             _tiny_scenario(dgp="custom")
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(SpecificationError, match="alpha"):
+            _tiny_scenario(alpha=alpha)
+
 
 class TestRunStudy:
     def test_smoke_and_rmse_identity(self):
@@ -83,12 +88,6 @@ class TestRunStudy:
         x1 = rz.make_rng(5, stream=1).standard_normal(4)
         x2 = rz.make_rng(5, stream=2).standard_normal(4)
         assert not np.allclose(x1, x2)
-
-    def test_worker_threads_do_not_change_results(self, monkeypatch):
-        sequential = simlab.run_study(_tiny_scenario(), replications=8)
-        monkeypatch.setenv("RANDZEST_THREADS", "4")
-        threaded = simlab.run_study(_tiny_scenario(), replications=8)
-        assert sequential.to_csv() == threaded.to_csv()
 
     def test_truth_matches_population(self):
         s = _tiny_scenario(dgp="heterogeneous", n=200, n1=100)
@@ -264,6 +263,19 @@ class TestScenarioFiles:
     def test_unknown_kind_rejected_at_build(self):
         with pytest.raises(SpecificationError):
             simlab.build_estimator(EstimatorConfig(kind="zap"), rz.LOG)
+
+    @pytest.mark.parametrize("config", [
+        EstimatorConfig(kind="ma", family="poisson", method="squared-loss"),
+        EstimatorConfig(kind="ai", imputations=(
+            (ModelConfig("poisson", True), "mle"),
+            (ModelConfig("gaussian", False), "squared-loss"),
+        )),
+    ])
+    def test_squared_loss_without_interaction_rejected_at_build(self, config):
+        with pytest.raises(SpecificationError, match="interaction"):
+            simlab.build_estimator(config, rz.LOG)
+        with pytest.raises(SpecificationError, match="interaction"):
+            simlab.run_study(_tiny_scenario(estimators=(config,)), replications=3)
 
     def test_unknown_family_rejected_at_build(self):
         with pytest.raises(SpecificationError):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import randzest as rz
 from randzest.errors import NumericalError, SpecificationError
+from randzest.ite import normal_linear_model, ternary_model
 from randzest.zestim import empirical_jacobian
 
-from test_estfun import FAMILIES, fd_jacobian, rel_err
+from test_estfun import FAMILIES, fd_gradient, fd_jacobian, rel_err
 
 # family x estimation method x interaction; squared loss needs interaction
 MODELS = [
@@ -79,6 +80,26 @@ def _estfun(method, spec):
     if method == "mle":
         return rz.glm_score_estfun(spec)
     return rz.squared_loss_estfun(spec)
+
+
+def _check_kernel_matches_per_unit(d, f, theta):
+    """The solver's arm kernels give the averaged per-unit Jacobian tensors
+    in Gram form (without interaction the arms' blocks add on the shared
+    slopes), and psi and risk from one eta, all at rel 1e-12; returns the
+    Gram Jacobian."""
+    treated = d.arm_mask(1)
+    control = ~treated
+    kernels = [(d.r1, f.kernel(1, d.y[treated], d.x[treated])),
+               (d.r0, f.kernel(0, d.y[control], d.x[control]))]
+    tensors = d.r1 * f.jac1(d.y[treated], d.x[treated], theta).mean(axis=0) \
+        + d.r0 * f.jac0(d.y[control], d.x[control], theta).mean(axis=0)
+    gram = sum(share * k.jacobian(theta) for share, k in kernels)
+    assert rel_err(gram, tensors) < 1e-12
+    psi = sum(share * k.mean(theta, True)[0] for share, k in kernels)
+    risk = sum(share * k.mean(theta, True)[1] for share, k in kernels)
+    assert rel_err(psi, rz.empirical_psi(d, f, theta)) < 1e-12
+    assert risk == pytest.approx(rz.empirical_risk(d, f, theta), rel=1e-12)
+    return gram
 
 
 def _fit(d, spec, method):
@@ -173,22 +194,41 @@ class TestSolve:
         analytic = empirical_jacobian(d, f, theta)
         numeric = fd_jacobian(lambda t: rz.empirical_psi(d, f, t), theta)
         assert rel_err(analytic, numeric) < 1e-6
-        # the solver's kernels give the averaged per-unit tensors in Gram
-        # form (without interaction the arms' blocks add on the shared
-        # slopes), and psi and risk from one eta
-        treated = d.arm_mask(1)
-        control = ~treated
-        kernels = [(d.r1, f.kernel(1, d.y[treated], d.x[treated])),
-                   (d.r0, f.kernel(0, d.y[control], d.x[control]))]
-        tensors = d.r1 * f.jac1(d.y[treated], d.x[treated], theta).mean(axis=0) \
-            + d.r0 * f.jac0(d.y[control], d.x[control], theta).mean(axis=0)
-        gram = sum(share * k.jacobian(theta) for share, k in kernels)
-        assert rel_err(gram, tensors) < 1e-12
+        gram = _check_kernel_matches_per_unit(d, f, theta)
         assert rel_err(gram, numeric) < 1e-6
-        psi = sum(share * k.mean(theta, True)[0] for share, k in kernels)
-        risk = sum(share * k.mean(theta, True)[1] for share, k in kernels)
-        assert rel_err(psi, rz.empirical_psi(d, f, theta)) < 1e-12
-        assert risk == pytest.approx(rz.empirical_risk(d, f, theta), rel=1e-12)
+
+
+class TestLossContract:
+    """For every estimating function the package builds, psi is the
+    theta-gradient of the empirical risk (the solver's gradient fallback
+    steps along -psi to lower the risk)."""
+
+    @pytest.mark.parametrize("family,method,interaction", MODELS)
+    def test_risk_gradient_is_psi_for_working_models(self, rng, family, method, interaction):
+        d, spec = _glm_data(rng, family, interaction)
+        f = _estfun(method, spec)
+        theta = 0.1 * rng.standard_normal(spec.dim)
+        numeric = fd_gradient(lambda t: rz.empirical_risk(d, f, t), theta)
+        assert rel_err(rz.empirical_psi(d, f, theta), numeric) < 1e-6
+
+    @pytest.mark.parametrize("model", ["normal-linear", "ternary"])
+    def test_risk_gradient_is_psi_for_effect_models(self, rng, model):
+        n = 80
+        x = rng.standard_normal((n, 2))
+        if model == "normal-linear":
+            y1 = 2.0 + x[:, 0] + rng.standard_normal(n)
+            y0 = 1.0 - 0.5 * x[:, 1] + rng.standard_normal(n)
+            effect_model = normal_linear_model(2)
+        else:
+            y1 = (rng.random(n) < 0.6).astype(float)
+            y0 = (rng.random(n) < 0.4).astype(float)
+            effect_model = ternary_model(2, 2.0)
+        d = rz.observe(rz.PotentialTable(y1, y0, x), rz.draw_assignment(rng, n, n // 2))
+        f = rz.ite_estfun(effect_model, d.r1)
+        theta = 0.3 * rng.standard_normal(f.dim)
+        numeric = fd_gradient(lambda t: rz.empirical_risk(d, f, t), theta)
+        assert rel_err(rz.empirical_psi(d, f, theta), numeric) < 1e-6
+        _check_kernel_matches_per_unit(d, f, theta)
 
 
 class TestSandwich:
