@@ -11,7 +11,6 @@ from .ate import (
     LOGIT,
     AteResult,
     GScale,
-    ImputationSpec,
     adjusted_imputation,
     fit_optimal_adjustment,
     fit_working_model,

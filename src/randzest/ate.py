@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -303,23 +303,6 @@ def fit_optimal_adjustment(d: Dataset, spec: MeanSpec, theta0=None) -> ZFit:
 # Two-step adjustment on imputed potential outcomes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ImputationSpec:
-    """One first-stage imputation model and how to estimate its parameter."""
-
-    spec: MeanSpec
-    method: str = "mle"  # "mle" or "squared-loss"
-
-    def fit(self, d: Dataset) -> ZFit:
-        if self.method == "mle":
-            return fit_working_model(d, self.spec)
-        if self.method == "squared-loss":
-            return fit_optimal_adjustment(d, self.spec)
-        raise SpecificationError(
-            f"unknown imputation method '{self.method}'; use 'mle' or 'squared-loss'"
-        )
-
-
 def _arm_least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     """OLS coefficients with a deterministic ridge fallback on collinearity."""
     gram = design.T @ design
@@ -339,37 +322,31 @@ def _arm_least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def adjusted_imputation(
     d: Dataset,
-    imputations: Sequence[ImputationSpec],
+    imputations: Sequence[tuple[MeanSpec, ZFit]],
     g: GScale,
-    fitted: Optional[Sequence[ZFit]] = None,
 ) -> AteResult:
     """Model-assisted estimation on linearly combined imputations.
 
-    Step 1 fits each imputation model by its own method; step 2 regresses
-    the observed outcome, per arm, on an intercept plus all 2J imputed
-    columns; step 3 runs the model-assisted estimator with the fitted
-    linear adjustment and its conservative variance.  ``fitted`` can supply
-    already-computed first-stage fits (matched by position) to skip step 1.
+    ``imputations`` holds the first stage: (spec, fit) pairs of working
+    models, each fitted by its own method.  Step 2 regresses the observed
+    outcome, per arm, on an intercept plus all 2J imputed columns; step 3
+    runs the model-assisted estimator with the fitted linear adjustment and
+    its conservative variance.
     """
     if not imputations:
         raise SpecificationError("adjusted imputation needs at least one model")
-    if fitted is not None and len(fitted) != len(imputations):
-        raise SpecificationError("fitted must match imputations one for one")
-    fits: list[ZFit] = []
     columns: list[np.ndarray] = []
-    for k, imp in enumerate(imputations):
-        fit = fitted[k] if fitted is not None else imp.fit(d)
+    for spec, fit in imputations:
         if not fit.converged:
             raise ConvergenceError(
                 f"first-stage imputation fit did not converge: {fit.message}"
             )
-        fits.append(fit)
-        columns.append(glm_mean(imp.spec, 0, d.x, fit.theta_hat))
-        columns.append(glm_mean(imp.spec, 1, d.x, fit.theta_hat))
+        columns.append(glm_mean(spec, 0, d.x, fit.theta_hat))
+        columns.append(glm_mean(spec, 1, d.x, fit.theta_hat))
     full_design = np.column_stack([np.ones(d.n)] + columns)
     adj = {}
     for arm in (1, 0):
         mask = d.arm_mask(arm)
         coef = _arm_least_squares(full_design[mask], d.y[mask])
         adj[arm] = full_design @ coef
-    return _ma_from_values(d, adj[1], adj[0], g, "AI", tuple(fits))
+    return _ma_from_values(d, adj[1], adj[0], g, "AI", tuple(fit for _, fit in imputations))

@@ -51,22 +51,14 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _estimator_config(args) -> EstimatorConfig:
     """The ATE estimator a ``simulate`` row of the same kind would run."""
-    if args.estimator == "unadjusted":
-        return EstimatorConfig(kind="unadjusted")
-    if args.estimator == "ai":
-        imputations = []
-        for text in args.imputation or [args.model]:
-            model_text, _, method = text.partition("@")
-            imputations.append((parse_model_spec(model_text), method or "mle"))
-        return EstimatorConfig(kind="ai", imputations=tuple(imputations))
-    model = parse_model_spec(args.model)
-    return EstimatorConfig(
-        kind=args.estimator,
-        family=model.family_name,
-        interaction=model.interaction,
-        method=args.method,
-        kappa="moment" if model.kappa is None else model.kappa,
-    )
+    if args.estimator != "ai":
+        model = None if args.estimator == "unadjusted" else parse_model_spec(args.model)
+        return EstimatorConfig(kind=args.estimator, model=model, method=args.method)
+    imputations = []
+    for text in args.imputation or [args.model]:
+        model_text, _, method = text.partition("@")
+        imputations.append((parse_model_spec(model_text), method or args.method))
+    return EstimatorConfig(kind="ai", imputations=tuple(imputations))
 
 
 def cmd_estimate(args) -> int:
@@ -148,7 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", default="gaussian",
         help="family[:interact][:kappa=<v>], e.g. poisson:interact",
     )
-    est.add_argument("--method", default="mle", choices=("mle", "squared-loss"))
+    est.add_argument(
+        "--method", default="mle", choices=("mle", "squared-loss"),
+        help="fit of the ma model, and the default METHOD of ai imputations",
+    )
     est.add_argument(
         "--imputation", action="append",
         help="AI first-stage model, MODELSPEC[@METHOD]; repeatable",

@@ -245,10 +245,15 @@ def negbin_family(kappa) -> GlmFamily:
     ``kappa`` is a positive scalar used for both arms, or a (treated,
     control) pair.  Larger kappa means closer to Poisson.
     """
-    if np.isscalar(kappa):
-        pair = (float(kappa), float(kappa))
-    else:
-        pair = (float(kappa[0]), float(kappa[1]))
+    try:
+        if np.isscalar(kappa):
+            pair = (float(kappa), float(kappa))
+        else:
+            pair = (float(kappa[0]), float(kappa[1]))
+    except (IndexError, TypeError, ValueError):
+        raise SpecificationError(
+            f"negbin dispersion must be a number, got kappa={kappa!r}"
+        ) from None
     if not (np.isfinite(pair).all() and min(pair) > 0):
         raise SpecificationError(f"negbin dispersion must be finite and positive, got kappa={pair}")
     return GlmFamily(NEGBIN, kappa=pair)
@@ -487,7 +492,7 @@ class ModelConfig:
             )
         fixed = self.family_name == "negbin" and self.kappa not in (None, "moment")
         if fixed:
-            negbin_family(float(self.kappa))  # raises unless finite and positive
+            negbin_family(self.kappa)  # raises unless a finite positive number
         object.__setattr__(self, "kappa", float(self.kappa) if fixed else None)
 
     def build(self, n_covariates: int, kappa=None) -> MeanSpec:

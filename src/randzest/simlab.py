@@ -27,7 +27,6 @@ import numpy as np
 from .ate import (
     AteResult,
     GScale,
-    ImputationSpec,
     adjusted_imputation,
     fit_optimal_adjustment,
     fit_working_model,
@@ -47,7 +46,6 @@ from .errors import (
 )
 from .estfun import GAUSSIAN, ModelConfig
 from .finitepop import Dataset, PotentialTable, draw_assignment, enumerate_assignments, make_rng, observe
-from .zestim import ZFit
 
 _FAMILY_DISPLAY = {
     "poisson": "Pois",
@@ -68,17 +66,18 @@ _KIND_DISPLAY = {
 class EstimatorConfig:
     """One table row: which estimator, which working model, how fitted.
 
-    ``kappa`` is a number, or "moment" for the per-arm method-of-moments
-    dispersion recomputed on every replication (negbin only).  ``imputations``
-    configures the first stage of the adjusted-imputation estimator as
-    ``(ModelConfig, method)`` pairs, method "mle" or "squared-loss".
+    ``model`` is the working model of kinds b, i and ma; a negbin model
+    without a fixed kappa gets the per-arm method-of-moments dispersion of
+    every replication.  ``method`` is "mle" or, for kind ma only,
+    "squared-loss": model-imputed estimation is consistent only for the
+    maximum-likelihood fit.  ``imputations`` configures the first stage of
+    the adjusted-imputation estimator (kind ai) as ``(ModelConfig, method)``
+    pairs.
     """
 
     kind: str  # b | i | ma | ai | unadjusted
-    family: Optional[str] = None
-    interaction: bool = False
-    method: str = "mle"  # mle | squared-loss (for kind="ma")
-    kappa: object = "moment"
+    model: Optional[ModelConfig] = None
+    method: str = "mle"
     imputations: tuple = ()
     g: Optional[str] = None  # overrides the scenario scale
     model_label: Optional[str] = None
@@ -88,12 +87,14 @@ class EstimatorConfig:
     def labels(self) -> tuple[str, str, str]:
         model = self.model_label
         if model is None:
-            model = _FAMILY_DISPLAY.get(self.family or "", self.family or "")
+            family = self.model.family_name if self.model else ""
+            model = _FAMILY_DISPLAY.get(family, family)
             if self.kind == "unadjusted":
                 model = "Unadjusted"
         inter = self.interaction_label
         if inter is None:
-            inter = "" if self.kind == "unadjusted" else ("Yes" if self.interaction else "No")
+            interaction = self.model is not None and self.model.interaction
+            inter = "" if self.kind == "unadjusted" else ("Yes" if interaction else "No")
         estimation = self.estimation_label
         if estimation is None:
             estimation = _KIND_DISPLAY.get(self.kind, self.kind)
@@ -212,7 +213,11 @@ def build_estimator(
 ) -> Callable[[Dataset, dict], AteResult]:
     """Compile a config into an ``estimate(dataset, cache)`` callable."""
     g = gscale(config.g) if config.g else default_g
-    kind = config.kind
+    kind, model, method = config.kind, config.model, config.method
+    if kind not in _KIND_DISPLAY:
+        raise SpecificationError(f"unknown estimator kind '{kind}'")
+    if method != "mle" and kind != "ma":
+        raise SpecificationError(f"estimator kind '{kind}' takes method 'mle' only, got '{method}'")
 
     if kind == "unadjusted":
         return lambda d, cache: tau_unadjusted(d, g)
@@ -220,26 +225,14 @@ def build_estimator(
     if kind == "ai":
         if not config.imputations:
             raise SpecificationError("estimator kind 'ai' needs imputations")
-        for model, method in config.imputations:
-            _check_method(model, method)
+        for imputation in config.imputations:
+            _check_method(*imputation)
+        return lambda d, cache: adjusted_imputation(
+            d, [_fit(d, m, how, cache) for m, how in config.imputations], g
+        )
 
-        def estimate(d: Dataset, cache: dict) -> AteResult:
-            specs: list[ImputationSpec] = []
-            fitted: list[ZFit] = []
-            for model, method in config.imputations:
-                spec, fit = _fit(d, model, method, cache)
-                specs.append(ImputationSpec(spec, method))
-                fitted.append(fit)
-            return adjusted_imputation(d, specs, g, fitted=fitted)
-
-        return estimate
-
-    if kind not in ("b", "i", "ma"):
-        raise SpecificationError(f"unknown estimator kind '{kind}'")
-    if config.family is None:
-        raise SpecificationError(f"estimator kind '{kind}' needs a family")
-    model = ModelConfig(config.family, config.interaction, config.kappa)
-    method = config.method if kind == "ma" else "mle"
+    if model is None:
+        raise SpecificationError(f"estimator kind '{kind}' needs a model")
     _check_method(model, method)
 
     def estimate(d: Dataset, cache: dict) -> AteResult:
@@ -418,15 +411,22 @@ def exact_randomization_distribution(
 # Scenario files (JSON)
 # ---------------------------------------------------------------------------
 
-def _imputation_from_dict(where: str, raw: dict) -> tuple[ModelConfig, str]:
-    """One ``imputations`` entry; its ``interaction`` defaults to true."""
-    if "family" not in raw:
-        raise DataError(f"{where}: missing key 'family'")
+def _model_from_dict(where: str, raw: dict, imputation: bool):
+    """The (working model, fitting method) pair of a scenario entry.
+
+    An ``imputations`` entry needs a ``family`` and its ``interaction``
+    defaults to true; a top-level entry without a family has no model.
+    """
     method = raw.get("method", "mle")
     if method not in _METHODS:
         raise DataError(f"{where}: unknown 'method' {method!r}; use one of {_METHODS}")
+    if "family" not in raw:
+        if imputation:
+            raise DataError(f"{where}: missing key 'family'")
+        return None, method
     try:
-        model = ModelConfig(raw["family"], bool(raw.get("interaction", True)), raw.get("kappa"))
+        interaction = bool(raw.get("interaction", imputation))
+        model = ModelConfig(raw["family"], interaction, raw.get("kappa"))
     except SpecificationError as exc:
         key = "kappa" if raw["family"] == "negbin" else "family"
         raise DataError(f"{where}: bad '{key}': {exc}") from None
@@ -435,30 +435,27 @@ def _imputation_from_dict(where: str, raw: dict) -> tuple[ModelConfig, str]:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
-        raw_estimators = doc["estimators"]
-        configs = tuple(
-            EstimatorConfig(
+        configs = []
+        for j, e in enumerate(doc["estimators"]):
+            model, method = _model_from_dict(f"estimators[{j}]", e, imputation=False)
+            configs.append(EstimatorConfig(
                 kind=e["kind"],
-                family=e.get("family"),
-                interaction=bool(e.get("interaction", False)),
-                method=e.get("method", "mle"),
-                kappa=e.get("kappa", "moment"),
+                model=model,
+                method=method,
                 imputations=tuple(
-                    _imputation_from_dict(f"estimators[{j}].imputations[{k}]", imp)
+                    _model_from_dict(f"estimators[{j}].imputations[{k}]", imp, imputation=True)
                     for k, imp in enumerate(e.get("imputations", ()))
                 ),
                 g=e.get("g"),
                 model_label=e.get("model"),
                 interaction_label=e.get("interaction_label"),
                 estimation_label=e.get("estimation"),
-            )
-            for j, e in enumerate(raw_estimators)
-        )
+            ))
         return Scenario(
             dgp=doc["dgp"],
             n=int(doc["N"]),
             n1=int(doc["n1"]),
-            estimators=configs,
+            estimators=tuple(configs),
             g=doc.get("g", "log"),
             seed=int(doc.get("seed", 0)),
             replications=int(doc.get("replications", 10_000)),

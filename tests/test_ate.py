@@ -1,5 +1,6 @@
 """Model-based, model-imputed, model-assisted estimators and adjustments."""
 
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import randzest as rz
 from randzest.ate import IDENTITY, LOG, LOGIT
-from randzest.errors import DomainError, SpecificationError
+from randzest.errors import ConvergenceError, DomainError, SpecificationError
 
 from test_estfun import fd_gradient
 
@@ -222,7 +223,7 @@ class TestAdjustedImputation:
         d, _ = _count_dataset(seed=41)
         d1 = rz.Dataset(d.assignment, d.y, d.x[:, :1])
         spec = rz.MeanSpec(rz.gaussian_family(), True, 1)
-        imp = rz.ImputationSpec(spec, "mle")
+        imp = (spec, rz.fit_working_model(d1, spec))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res_ai = rz.adjusted_imputation(d1, [imp], IDENTITY)
@@ -237,16 +238,24 @@ class TestAdjustedImputation:
         d1 = rz.Dataset(d.assignment, d.y, d.x[:, :1])
         spec = rz.MeanSpec(rz.gaussian_family(), True, 1)
         with pytest.warns(RuntimeWarning, match="collinear"):
-            rz.adjusted_imputation(d1, [rz.ImputationSpec(spec, "mle")], IDENTITY)
+            rz.adjusted_imputation(d1, [(spec, rz.fit_working_model(d1, spec))], IDENTITY)
 
     def test_two_stage_poisson_runs(self):
         d, _ = _count_dataset(seed=43)
         spec = rz.MeanSpec(rz.poisson_family(), True, 2)
         res = rz.adjusted_imputation(
-            d, [rz.ImputationSpec(spec, "squared-loss")], LOG
+            d, [(spec, rz.fit_optimal_adjustment(d, spec))], LOG
         )
         assert np.isfinite(res.tau_hat) and res.variance_hat >= 0
         assert len(res.fits) == 1 and res.fits[0].converged
+
+    def test_non_converged_first_stage_raises(self):
+        d, _ = _count_dataset(seed=43)
+        spec = rz.MeanSpec(rz.poisson_family(), True, 2)
+        fit = rz.solve(d, rz.glm_score_estfun(spec), max_iter=1)
+        assert not fit.converged
+        with pytest.raises(ConvergenceError, match=re.escape(fit.message)):
+            rz.adjusted_imputation(d, [(spec, fit)], LOG)
 
     def test_needs_a_model(self):
         d, _ = _count_dataset()

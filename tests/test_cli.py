@@ -83,6 +83,38 @@ class TestEstimate:
         assert code == 2
         assert "kappa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["b", "i", "unadjusted"])
+    def test_method_other_than_mle_is_data_error(self, tmp_path, capsys, kind):
+        csv_path = tmp_path / "d.csv"
+        write_count_csv(csv_path)
+        code = main([
+            "estimate", "--input", str(csv_path), "--estimator", kind,
+            "--model", "poisson:interact", "--method", "squared-loss",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'{kind}'" in err and "'squared-loss'" in err
+
+    def test_method_is_the_default_ai_imputation_method(self, tmp_path):
+        csv_path = tmp_path / "d.csv"
+        write_count_csv(csv_path)
+        d = rz.read_dataset_csv(str(csv_path))
+        model = ModelConfig("poisson", True)
+        out = tmp_path / "res.json"
+        for method, model_options in [
+            ("squared-loss", ["--model", "poisson:interact", "--method", "squared-loss"]),
+            ("squared-loss", ["--imputation", "poisson:interact", "--method", "squared-loss"]),
+            ("mle", ["--imputation", "poisson:interact@mle", "--method", "squared-loss"]),
+        ]:
+            config = simlab.EstimatorConfig(kind="ai", imputations=((model, method),))
+            expected = simlab.build_estimator(config, rz.LOG)(d, {})
+            argv = ["estimate", "--input", str(csv_path), "--estimator", "ai", "--g", "log",
+                    "--output", str(out)] + model_options
+            assert main(argv) == 0, argv
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert doc["tau_hat"] == expected.tau_hat, argv
+            assert doc["se"] == expected.se(), argv
+
     def test_separable_fit_is_solver_error(self, tmp_path, capsys):
         gen = rz.make_rng(5)
         n = 40
@@ -166,8 +198,7 @@ def _estimate_argv(config):
         for model, method in config.imputations:
             argv += ["--imputation", f"{_model_text(model)}@{method}"]
         return argv
-    model = ModelConfig(config.family, config.interaction, config.kappa)
-    return ["--estimator", config.kind, "--model", _model_text(model),
+    return ["--estimator", config.kind, "--model", _model_text(config.model),
             "--method", config.method]
 
 

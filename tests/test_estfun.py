@@ -252,6 +252,13 @@ class TestModelSpecStrings:
         with pytest.raises(SpecificationError, match=message):
             parse_model_spec(f"negbin:interact:kappa={text}")
 
+    def test_non_numeric_kappa_rejected(self):
+        for kappa in ("abc", None, [1.0]):
+            with pytest.raises(SpecificationError, match="must be a number"):
+                rz.negbin_family(kappa)
+        with pytest.raises(SpecificationError, match="kappa='abc'"):
+            ModelConfig("negbin", kappa="abc")
+
     def test_unknown_family(self):
         with pytest.raises(SpecificationError, match="unknown family"):
             parse_model_spec("weibull")

@@ -12,6 +12,16 @@ from randzest.estfun import ModelConfig
 from randzest.simlab import EstimatorConfig, Scenario, scenario_from_dict
 
 
+_BAD_MODELS = [  # (scenario model entry, the key its error names)
+    ({"interaction": True, "method": "mle"}, "family"),
+    ({"family": "weibull"}, "family"),
+    ({"family": "poisson", "method": "newton"}, "method"),
+    ({"family": "negbin", "kappa": -1.0}, "kappa"),
+    ({"family": "negbin", "kappa": float("nan")}, "kappa"),
+    ({"family": "negbin", "kappa": "abc"}, "kappa"),
+]
+
+
 def _tiny_scenario(**overrides):
     base = dict(
         dgp="null",
@@ -19,7 +29,7 @@ def _tiny_scenario(**overrides):
         n1=30,
         estimators=(
             EstimatorConfig(kind="unadjusted"),
-            EstimatorConfig(kind="ma", family="poisson", interaction=True),
+            EstimatorConfig(kind="ma", model=ModelConfig("poisson", True)),
         ),
         g="log",
         seed=5,
@@ -221,22 +231,26 @@ class TestScenarioFiles:
         table = simlab.run_study(s)
         assert table.replications == 4
 
-    @pytest.mark.parametrize("entry,key", [
-        ({"interaction": True, "method": "mle"}, "family"),
-        ({"family": "weibull"}, "family"),
-        ({"family": "poisson", "method": "newton"}, "method"),
-        ({"family": "negbin", "kappa": -1.0}, "kappa"),
-        ({"family": "negbin", "kappa": float("nan")}, "kappa"),
+    @pytest.mark.parametrize("top_level,entry,key", [
+        # an imputations entry needs a family; a top-level entry may have none
+        pytest.param(False, *case, id=f"entry{i}-{case[1]}") for i, case in enumerate(_BAD_MODELS)
+    ] + [
+        pytest.param(True, *case, id=f"top-level-entry{i}-{case[1]}")
+        for i, case in enumerate(_BAD_MODELS) if "family" in case[0]
     ])
-    def test_bad_imputation_rejected_at_load(self, tmp_path, entry, key):
+    def test_bad_imputation_rejected_at_load(self, tmp_path, top_level, entry, key):
+        if top_level:
+            estimator, where = {"kind": "ma", **entry}, r"estimators\[1\]"
+        else:
+            estimator = {"kind": "ai", "imputations": [entry]}
+            where = r"estimators\[1\]\.imputations\[0\]"
         doc = {
             "dgp": "null", "N": 40, "n1": 20,
-            "estimators": [{"kind": "unadjusted"},
-                           {"kind": "ai", "imputations": [entry]}],
+            "estimators": [{"kind": "unadjusted"}, estimator],
         }
         path = tmp_path / "s.scenario"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DataError, match=rf"estimators\[1\]\.imputations\[0\].*'{key}'"):
+        with pytest.raises(DataError, match=rf"{where}: .*'{key}'"):
             simlab.load_scenario(str(path))
 
     def test_imputation_entries_parse_to_models(self):
@@ -254,18 +268,42 @@ class TestScenarioFiles:
         )
 
     def test_labels(self):
-        config = EstimatorConfig(kind="ma", family="poisson", interaction=True,
+        config = EstimatorConfig(kind="ma", model=ModelConfig("poisson", True),
                                  method="squared-loss")
         assert config.labels() == ("Pois", "Yes", "A (squared loss)")
         config = EstimatorConfig(kind="unadjusted")
         assert config.labels() == ("Unadjusted", "", "")
+
+    @pytest.mark.parametrize("kind", ["b", "i", "ai", "unadjusted"])
+    def test_method_other_than_mle_rejected_outside_ma(self, kind):
+        # model-imputed estimation is consistent only for the maximum-likelihood fit
+        model = ModelConfig("poisson", True)
+        config = EstimatorConfig(kind=kind, model=model, method="squared-loss",
+                                 imputations=((model, "mle"),))
+        with pytest.raises(SpecificationError, match=rf"'{kind}'.*'squared-loss'"):
+            simlab.build_estimator(config, rz.LOG)
+
+    def test_top_level_entries_parse_to_models(self):
+        # at the top level, interaction defaults to false and kappa to "moment"
+        s = scenario_from_dict({
+            "dgp": "null", "N": 40, "n1": 20,
+            "estimators": [{"kind": "i", "family": "negbin"},
+                           {"kind": "ma", "family": "negbin", "kappa": 2,
+                            "interaction": True, "method": "squared-loss"},
+                           {"kind": "unadjusted"}],
+        })
+        assert [(c.model, c.method) for c in s.estimators] == [
+            (ModelConfig("negbin", False), "mle"),
+            (ModelConfig("negbin", True, 2.0), "squared-loss"),
+            (None, "mle"),
+        ]
 
     def test_unknown_kind_rejected_at_build(self):
         with pytest.raises(SpecificationError):
             simlab.build_estimator(EstimatorConfig(kind="zap"), rz.LOG)
 
     @pytest.mark.parametrize("config", [
-        EstimatorConfig(kind="ma", family="poisson", method="squared-loss"),
+        EstimatorConfig(kind="ma", model=ModelConfig("poisson"), method="squared-loss"),
         EstimatorConfig(kind="ai", imputations=(
             (ModelConfig("poisson", True), "mle"),
             (ModelConfig("gaussian", False), "squared-loss"),
@@ -280,5 +318,5 @@ class TestScenarioFiles:
     def test_unknown_family_rejected_at_build(self):
         with pytest.raises(SpecificationError):
             simlab.build_estimator(
-                EstimatorConfig(kind="ma", family="weibull"), rz.LOG
+                EstimatorConfig(kind="ma", model=ModelConfig("weibull")), rz.LOG
             )
