@@ -492,6 +492,8 @@ class ModelConfig:
             )
         fixed = self.family_name == "negbin" and self.kappa not in (None, "moment")
         if fixed:
+            if not np.isscalar(self.kappa):  # negbin_family would take a pair
+                raise SpecificationError(f"negbin kappa must be one number, got {self.kappa!r}")
             negbin_family(self.kappa)  # raises unless a finite positive number
         object.__setattr__(self, "kappa", float(self.kappa) if fixed else None)
 

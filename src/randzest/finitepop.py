@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -302,12 +303,24 @@ def draw_assignment(rng: np.random.Generator, n: int, n1: int) -> Assignment:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_float(token: str, row_num: int, col: str) -> float:
+# Column 'z' holds exactly the token 0 or 1, surrounding whitespace aside.
+_Z_TOKENS = {"0": 0.0, "1": 1.0}
+
+
+def _z_token(token: str) -> float:
+    return _Z_TOKENS[token.strip()]  # loadtxt reports the KeyError as a bad cell
+
+
+def _check_float(token: str, row_num: int, col: str) -> None:
     token = token.strip()
     if token == "":
         raise DataError(f"missing value in column '{col}' on data row {row_num}")
     try:
-        return float(token)
+        # float() also reads digit-group underscores and non-ASCII digits,
+        # which the columnar parse rejects.
+        if not token.isascii() or "_" in token:
+            raise ValueError(token)
+        float(token)
     except ValueError:
         raise DataError(
             f"cannot parse '{token}' in column '{col}' on data row {row_num}"
@@ -332,65 +345,84 @@ def _check_header(header: Sequence[str], required: list[str], path: str) -> int:
     return len(x_names)
 
 
+def _raise_first_bad_row(path: str, names: list[str], failure: str) -> NoReturn:
+    """Re-read ``path`` row by row and raise a DataError naming the first bad
+    row and column.  Runs only after the columnar parse failed, so it never
+    returns."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)  # the header, already checked
+        n_rows = 0
+        for row_num, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise DataError(
+                    f"{path}: data row {row_num} has {len(row)} fields, expected {len(names)}"
+                )
+            for name, token in zip(names, row):
+                if name != "z":
+                    _check_float(token, row_num, name)
+                elif token.strip() not in _Z_TOKENS:
+                    raise DataError(
+                        f"{path}: column 'z' must be 0 or 1, got '{token.strip()}' "
+                        f"on data row {row_num}"
+                    )
+            n_rows += 1
+    if n_rows < 2:
+        raise DataError(f"{path}: need at least 2 data rows")
+    raise DataError(f"{path}: cannot parse the data rows: {failure}")
+
+
+def _read_table(path: str, required: list[str]) -> np.ndarray:
+    """The data rows of a ``<required>,x1,...,xd`` CSV as one float table.
+
+    The body is parsed in one columnar call; when that fails or leaves fewer
+    than two rows, :func:`_raise_first_bad_row` names the offending cell.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        d = _check_header(header, required, path)
+        names = required + [f"x{k}" for k in range(1, d + 1)]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # warns on a body with no rows
+                table = np.loadtxt(
+                    fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                    converters={0: _z_token} if names[0] == "z" else None,
+                )
+        except ValueError as exc:
+            failure = str(exc)
+        else:
+            if table.shape[1] == len(names) and len(table) >= 2:
+                return table
+            failure = f"{len(table)} rows of {table.shape[1]} fields"
+    _raise_first_bad_row(path, names, failure)
+
+
 def read_dataset_csv(path: str) -> Dataset:
     """Read an observed experiment from ``z,y,x1,...,xd`` CSV (UTF-8).
 
-    Missing values are a hard error; z must be 0 or 1 on every row.
+    Column z holds exactly the token 0 or 1 on every row (not 1.0 or +1).
+    Every other cell is one number: optional surrounding whitespace, an
+    optional sign, then decimal digits with an optional point and exponent,
+    or inf, infinity or nan in any case.  A cell may be wrapped in double
+    quotes.  Python's float() also reads digit-group underscores (1_000) and
+    non-ASCII digits; these are rejected.  A missing cell is an error, blank
+    lines are skipped, and LF, CRLF and CR line ends are all read.  A bad
+    file raises a DataError that names the first bad data row and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        d = _check_header(header, ["z", "y"], path)
-        z_rows, y_rows, x_rows = [], [], []
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != 2 + d:
-                raise DataError(
-                    f"{path}: data row {row_num} has {len(row)} fields, expected {2 + d}"
-                )
-            z_val = row[0].strip()
-            if z_val not in ("0", "1"):
-                raise DataError(
-                    f"{path}: column 'z' must be 0 or 1, got '{z_val}' on data row {row_num}"
-                )
-            z_rows.append(int(z_val))
-            y_rows.append(_parse_float(row[1], row_num, "y"))
-            x_rows.append(
-                [_parse_float(tok, row_num, f"x{k + 1}") for k, tok in enumerate(row[2:])]
-            )
-    if len(y_rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows")
-    x = np.array(x_rows, dtype=float) if d else None
-    return Dataset(Assignment(z_rows), y_rows, x)
+    table = _read_table(path, ["z", "y"])
+    return Dataset(Assignment(table[:, 0]), table[:, 1], table[:, 2:])
 
 
 def read_potential_csv(path: str) -> PotentialTable:
-    """Read an oracle population from ``y1,y0,x1,...,xd`` CSV (UTF-8)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        d = _check_header(header, ["y1", "y0"], path)
-        y1_rows, y0_rows, x_rows = [], [], []
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != 2 + d:
-                raise DataError(
-                    f"{path}: data row {row_num} has {len(row)} fields, expected {2 + d}"
-                )
-            y1_rows.append(_parse_float(row[0], row_num, "y1"))
-            y0_rows.append(_parse_float(row[1], row_num, "y0"))
-            x_rows.append(
-                [_parse_float(tok, row_num, f"x{k + 1}") for k, tok in enumerate(row[2:])]
-            )
-    if len(y1_rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows")
-    x = np.array(x_rows, dtype=float) if d else None
-    return PotentialTable(y1_rows, y0_rows, x)
+    """Read an oracle population from ``y1,y0,x1,...,xd`` CSV (UTF-8).
+
+    Every cell follows the number grammar of :func:`read_dataset_csv`.
+    """
+    table = _read_table(path, ["y1", "y0"])
+    return PotentialTable(table[:, 0], table[:, 1], table[:, 2:])

@@ -11,7 +11,7 @@ small-N enumeration tests check exactly.
 
 The covariance of the root is estimated by the conservative sandwich
 
-    Sigma_hat = J^-1 [ r0 Cov^1(psi_1i) + r1 Cov^0(psi_0i) ] J^-T,
+    Sigma_hat = J^-1 [ r1 Cov^1(psi_1i) + r0 Cov^0(psi_0i) ] J^-T,
 
 with J the Jacobian of Psi_hat at the root and per-arm sample covariances
 using divisor n_z - 1.  Sigma_hat scales sqrt(N)(theta_hat - theta), so
@@ -312,8 +312,8 @@ def sandwich(d: Dataset, f: EstimatingFunction, fit: ZFit) -> np.ndarray:
             f"sandwich needs >= 2 units per arm, got n1={d.n1}, n0={d.n0}"
         )
     (k1, r1, _), (k0, r0, _) = _arm_kernels(d, f, False)
-    meat = r0 * fp_cov_matrix(k1.scores(fit.theta_hat)) + \
-        r1 * fp_cov_matrix(k0.scores(fit.theta_hat))
+    meat = r1 * fp_cov_matrix(k1.scores(fit.theta_hat)) + \
+        r0 * fp_cov_matrix(k0.scores(fit.theta_hat))
     jac = fit.jac_at_root
     try:
         half = np.linalg.solve(jac, meat)

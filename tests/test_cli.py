@@ -65,6 +65,19 @@ class TestEstimate:
         assert code == 2
         assert "'y'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,names", [
+        ("1,2.5,0.1\n0,,0.2\n", ["column 'y'", "data row 2"]),  # missing cell
+        ("1,2.5,0.1\n1.0,1.5,0.2\n", ["column 'z'", "data row 2"]),  # bad z
+        ("1,2.5,0.1\n0,1.5\n", ["data row 2", "2 fields, expected 3"]),  # short row
+    ])
+    def test_malformed_rows_are_data_errors(self, tmp_path, capsys, body, names):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text("z,y,x1\n" + body, encoding="utf-8")
+        code = main(["estimate", "--input", str(csv_path), "--estimator", "unadjusted"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main([
             "estimate", "--input", str(tmp_path / "none.csv"),
@@ -274,6 +287,18 @@ class TestEnumerate:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["variance"] == 0.0
+
+    @pytest.mark.parametrize("body,names", [
+        ("1,0\n2,\n", ["column 'y0'", "data row 2"]),  # missing cell
+        ("1,0\nabc,1\n", ["'abc'", "column 'y1'", "data row 2"]),  # bad token
+        ("1,0\n2\n", ["data row 2", "1 fields, expected 2"]),  # short row
+    ])
+    def test_malformed_rows_are_data_errors(self, tmp_path, capsys, body, names):
+        path = tmp_path / "bad.csv"
+        path.write_text("y1,y0\n" + body, encoding="utf-8")
+        assert main(["enumerate", "--input", str(path), "--n1", "1"]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
 
     def test_cap_exceeded_names_cap(self, tmp_path, capsys):
         y = list(range(30))

@@ -1,5 +1,9 @@
 """Data model, finite-population moments, and assignment machinery."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,3 +243,175 @@ class TestCsv:
         pot = rz.read_potential_csv(str(path))
         assert pot.n == 3
         np.testing.assert_allclose(pot.y1, [1, 2, 3])
+
+
+# ---------------------------------------------------------------------------
+# The columnar readers against the row-by-row reader they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_float(token, row_num, col):
+    token = token.strip()
+    if token == "":
+        raise DataError(f"missing value in column '{col}' on data row {row_num}")
+    try:
+        return float(token)
+    except ValueError:
+        raise DataError(
+            f"cannot parse '{token}' in column '{col}' on data row {row_num}"
+        ) from None
+
+
+def _reference_read(path, required):
+    """Row-by-row reader: (first column, second column, covariate rows)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        for pos, name in enumerate(required):
+            if pos >= len(header) or header[pos] != name:
+                raise DataError(
+                    f"{path}: expected column '{name}' at position {pos + 1}, "
+                    f"got {header[pos] if pos < len(header) else 'nothing'}"
+                )
+        for k, name in enumerate(header[2:], start=1):
+            if name != f"x{k}":
+                raise DataError(f"{path}: expected covariate column 'x{k}', got '{name}'")
+        d = len(header) - 2
+        first, second, x_rows = [], [], []
+        for row_num, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != 2 + d:
+                raise DataError(
+                    f"{path}: data row {row_num} has {len(row)} fields, expected {2 + d}"
+                )
+            if required[0] == "z":
+                z_val = row[0].strip()
+                if z_val not in ("0", "1"):
+                    raise DataError(
+                        f"{path}: column 'z' must be 0 or 1, got '{z_val}' on data row {row_num}"
+                    )
+                first.append(int(z_val))
+            else:
+                first.append(_reference_float(row[0], row_num, required[0]))
+            second.append(_reference_float(row[1], row_num, required[1]))
+            x_rows.append(
+                [_reference_float(tok, row_num, f"x{k + 1}") for k, tok in enumerate(row[2:])]
+            )
+    if len(second) < 2:
+        raise DataError(f"{path}: need at least 2 data rows")
+    return first, second, np.array(x_rows, dtype=float).reshape(len(second), d)
+
+
+_READERS = {
+    "dataset": (["z", "y"], rz.read_dataset_csv, lambda d: (d.z, d.y, d.x)),
+    "potential": (["y1", "y0"], rz.read_potential_csv, lambda p: (p.y1, p.y0, p.x)),
+}
+
+_SPECIAL_NUMBERS = ["inf", "-Infinity", "nan", "NaN", "1e400", "-1e-400", "1.", ".5",
+                    "+2", "-0.0", "0", "1E5", "3"]
+
+
+@st.composite
+def _csv_cells(draw, token):
+    """One cell: optional whitespace padding, then optional double quotes."""
+    pad = st.sampled_from(["", " ", "  ", "\t", " \t "])
+    cell = draw(pad) + token + draw(pad)
+    return f'"{cell}"' if draw(st.booleans()) else cell
+
+
+@st.composite
+def _valid_tables(draw):
+    kind = draw(st.sampled_from(sorted(_READERS)))
+    d = draw(st.integers(0, 3))
+    n = draw(st.integers(2, 10))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(_SPECIAL_NUMBERS),
+    )
+    names = _READERS[kind][0] + [f"x{k}" for k in range(1, d + 1)]
+    lines = [",".join(names)]
+    for i in range(n):
+        if kind == "dataset":
+            first = draw(_csv_cells(str(i % 2) if i < 2 else draw(st.sampled_from("01"))))
+        else:
+            first = draw(_csv_cells(draw(number)))
+        rest = [draw(_csv_cells(draw(number))) for _ in range(1 + d)]
+        lines.append(",".join([first] + rest))
+        lines.extend([""] * draw(st.integers(0, 1)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return kind, newline.join(lines) + newline * draw(st.integers(0, 2))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestColumnarCsv:
+    @given(_valid_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_row_by_row(self, table):
+        kind, text = table
+        required, read, columns = _READERS[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "t.csv")
+            Path(path).write_bytes(text.encode("utf-8"))
+            expected = _reference_read(path, required)
+            got = columns(read(path))
+        for want, have in zip(expected, got):
+            assert _same_bits(want, have)
+
+    def test_row_by_row_pass_runs_only_after_a_failed_parse(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("row-by-row pass on a valid file")
+
+        monkeypatch.setattr(rz.finitepop, "_raise_first_bad_row", forbidden)
+        path = tmp_path / "d.csv"
+        path.write_text("z,y,x1\n1,2.5,0.1\n0,1.0,0.2\n", encoding="utf-8")
+        assert rz.read_dataset_csv(str(path)).n == 2
+
+    @pytest.mark.parametrize("kind,text", [
+        ("dataset", "z,y,x1\n1,2.5,0.1\n0,,0.2\n"),  # missing cell
+        ("dataset", "z,y\n1,2.5\n0,abc\n"),  # bad token
+        ("dataset", "z,y,x1\n1,2.5,0.1\n0,1.0\n"),  # short row
+        ("dataset", "z,y\n1,2.5,\n0,1.0\n"),  # trailing comma
+        ("dataset", "z,y\n1,2.5\n   \n0,1.0\n"),  # whitespace-only line
+        ("dataset", "z,y\n2,1.0\n0,2.0\n"),
+        ("dataset", "z,y\n1.0,1.0\n0,2.0\n"),
+        ("dataset", "z,y\n1,1.0\n+1,2.0\n0,3.0\n"),
+        ("dataset", "z,y\n\n1,1.0\n\n0,x\n"),  # row numbers count blank lines
+        ("dataset", 'z,y\n1,1.0\n0, "2.0"\n'),  # space before a quote
+        ("dataset", "treat,y\n1,1.0\n0,2.0\n"),  # bad header
+        ("dataset", "z,y,x2\n1,1.0,0\n0,2.0,0\n"),
+        ("dataset", ""),  # empty file
+        ("dataset", "z,y\n1,2.5\n"),  # single data row
+        ("dataset", "z,y\n\n\n"),
+        ("potential", "y1,y0,x1\n1,0,0.5\n2,,0.6\n"),
+        ("potential", "y1,y0\n1,0\n2,1\n3\n"),
+        ("potential", "y1,y0\n1,0\n2,one\n"),
+        ("potential", "y0,y1\n1,0\n2,1\n"),
+        ("potential", "y1,y0\n1,0\n"),
+    ])
+    def test_malformed_file_keeps_its_message(self, tmp_path, kind, text):
+        required, read, _ = _READERS[kind]
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as want:
+            _reference_read(str(path), required)
+        with pytest.raises(DataError) as got:
+            read(str(path))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("token", ["1_000", "\u0661"])
+    def test_float_only_literal_names_its_cell(self, tmp_path, token):
+        # float() reads digit-group underscores and Arabic-Indic digits; the
+        # columnar grammar does not, and the error names the cell.
+        path = tmp_path / "d.csv"
+        path.write_text(f"z,y,x1\n1,2.5,0.1\n0,1.0,{token}\n", encoding="utf-8")
+        _reference_read(str(path), ["z", "y"])
+        with pytest.raises(DataError, match=f"'{token}' in column 'x1' on data row 2"):
+            rz.read_dataset_csv(str(path))

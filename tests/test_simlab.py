@@ -19,6 +19,7 @@ _BAD_MODELS = [  # (scenario model entry, the key its error names)
     ({"family": "negbin", "kappa": -1.0}, "kappa"),
     ({"family": "negbin", "kappa": float("nan")}, "kappa"),
     ({"family": "negbin", "kappa": "abc"}, "kappa"),
+    ({"family": "negbin", "kappa": [1, 2]}, "kappa"),
 ]
 
 

@@ -12,6 +12,10 @@ from randzest.zestim import empirical_jacobian
 
 from test_estfun import FAMILIES, fd_gradient, fd_jacobian, rel_err
 
+# treated shares of the sandwich property tests; r1 = 1/2 alone cannot tell
+# the arm weights of the meat apart
+TREATED_SHARES = [0.3, 0.5, 0.7]
+
 # family x estimation method x interaction; squared loss needs interaction
 MODELS = [
     (family, method, interaction)
@@ -60,7 +64,7 @@ class TestEmpiricalPsi:
             rz.empirical_psi(d, f, np.zeros(1))
 
 
-def _glm_data(gen, family="poisson", interaction=True, n=80):
+def _glm_data(gen, family="poisson", interaction=True, n=80, n1=None):
     x = gen.standard_normal((n, 2))
     spec = rz.MeanSpec(FAMILIES[family](), interaction, 2)
     theta = 0.4 * gen.standard_normal(spec.dim)
@@ -72,8 +76,8 @@ def _glm_data(gen, family="poisson", interaction=True, n=80):
         draw = lambda mean: gen.poisson(mean).astype(float)  # noqa: E731
     y1 = draw(rz.glm_mean(spec, 1, x, theta))
     y0 = draw(rz.glm_mean(spec, 0, x, theta))
-    d = rz.observe(rz.PotentialTable(y1, y0, x), rz.draw_assignment(gen, n, n // 2))
-    return d, spec
+    a = rz.draw_assignment(gen, n, n // 2 if n1 is None else n1)
+    return rz.observe(rz.PotentialTable(y1, y0, x), a), spec
 
 
 def _estfun(method, spec):
@@ -233,7 +237,7 @@ class TestLossContract:
 
 class TestSandwich:
     def test_common_mean_closed_form(self):
-        # bread is the scalar -1, so Sigma = r0*Var1(y) + r1*Var0(y);
+        # bread is the scalar -1, so Sigma = r1*Var1(y) + r0*Var0(y);
         # both arm variances are 1 here and r1 = r0 = 1/2 -> Sigma = 1
         d = rz.Dataset(
             rz.Assignment([1, 1, 1, 0, 0, 0]), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
@@ -249,10 +253,10 @@ class TestSandwich:
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(model=st.sampled_from(MODELS), n=st.integers(20, 200),
-           seed=st.integers(0, 2**32 - 1))
-    def test_symmetric_psd(self, model, n, seed):
+           share=st.sampled_from(TREATED_SHARES), seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_psd(self, model, n, share, seed):
         family, method, interaction = model
-        d, spec = _glm_data(rz.make_rng(seed), family, interaction, n)
+        d, spec = _glm_data(rz.make_rng(seed), family, interaction, n, round(share * n))
         fit = _fit(d, spec, method)
         assume(fit.converged and fit.sigma_hat is not None)
         sigma = fit.sigma_hat
@@ -261,11 +265,11 @@ class TestSandwich:
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(model=st.sampled_from(MODELS), n=st.integers(20, 200),
-           seed=st.integers(0, 2**32 - 1))
-    def test_permutation_equivariance(self, model, n, seed):
+           share=st.sampled_from(TREATED_SHARES), seed=st.integers(0, 2**32 - 1))
+    def test_permutation_equivariance(self, model, n, share, seed):
         family, method, interaction = model
         gen = rz.make_rng(seed)
-        d, spec = _glm_data(gen, family, interaction, n)
+        d, spec = _glm_data(gen, family, interaction, n, round(share * n))
         fit = _fit(d, spec, method)
         assume(fit.converged and fit.sigma_hat is not None)
         perm = gen.permutation(d.n)
@@ -273,6 +277,36 @@ class TestSandwich:
         fit2 = _fit(d2, spec, method)
         np.testing.assert_allclose(fit.theta_hat, fit2.theta_hat, atol=1e-10)
         np.testing.assert_allclose(fit.sigma_hat, fit2.sigma_hat, atol=1e-10)
+
+    @pytest.mark.parametrize("share", [0.2, 0.3, 0.7])
+    def test_intercept_only_effect_model_is_neyman_variance(self, share):
+        # The intercept-only effect model's root is Ybar1 - Ybar0, and its
+        # sandwich r1 Var1(y / r1) + r0 Var0(y / r0) is s1^2/r1 + s0^2/r0.
+        gen = rz.make_rng(17)
+        n = 1000
+        y = gen.standard_normal(n) + np.where(np.arange(n) % 3 == 0, 2.0, 0.0)
+        d = rz.Dataset(rz.draw_assignment(gen, n, round(share * n)), y)
+        fit = rz.solve(d, rz.ite_estfun(normal_linear_model(0), d.r1))
+        neyman = rz.tau_unadjusted(d, rz.IDENTITY).variance_hat
+        assert fit.sigma_hat[0, 0] == pytest.approx(neyman, rel=1e-12)
+
+    def test_unbalanced_enumeration_is_conservative_by_s_tau(self):
+        # Over all C(8, 3) assignments the per-arm variances are unbiased, so
+        # the mean sandwich is S1/r1 + S0/r0, and N Var(theta_hat) falls short
+        # of it by exactly the effect-heterogeneity term S_tau.
+        gen = rz.make_rng(23)
+        y1, y0 = gen.standard_normal(8) + 1.0, gen.standard_normal(8)
+        pot = rz.PotentialTable(y1, y0)
+        f = rz.ite_estfun(normal_linear_model(0), 3 / 8)
+        roots, sigmas = [], []
+        for a in rz.enumerate_assignments(8, 3):
+            fit = rz.solve(rz.observe(pot, a), f)
+            roots.append(fit.theta_hat[0])
+            sigmas.append(fit.sigma_hat[0, 0])
+        limit = rz.fp_var(y1) / (3 / 8) + rz.fp_var(y0) / (5 / 8)
+        assert np.mean(sigmas) == pytest.approx(limit, abs=1e-12)
+        exact = 8 * np.var(roots)
+        assert exact == pytest.approx(limit - rz.fp_var(y1 - y0), abs=1e-12)
 
     def test_null_effect_monte_carlo_calibration(self):
         # Difference-in-means as a Z-estimator: psi_1 = 2y - theta,
