@@ -25,6 +25,7 @@ from scipy import stats
 
 from .errors import ConvergenceError, DomainError, SpecificationError
 from .estfun import (
+    BINOMIAL,
     GAUSSIAN,
     MeanSpec,
     glm_mean,
@@ -147,7 +148,7 @@ def _delta_variance(d: Dataset, spec: MeanSpec, fit: ZFit, gdot1, gdot0) -> floa
     grad = np.zeros(spec.dim)
     for arm, gdot in ((1, gdot1), (0, -gdot0)):
         idx = spec.indices(arm)
-        dmean = spec.family.mean_deta(design @ fit.theta_hat[idx], arm)
+        dmean = spec.family.mean_deta(design @ fit.theta_hat[idx])
         grad[idx] += np.mean((gdot * dmean)[:, None] * design, axis=0)
     return max(float(grad @ fit.sigma_hat @ grad), 0.0)
 
@@ -290,8 +291,7 @@ def fit_optimal_adjustment(d: Dataset, spec: MeanSpec, theta0=None) -> ZFit:
     """
     estfun = squared_loss_estfun(spec)  # raises if parameters are shared
     if theta0 is None and spec.family.kind != GAUSSIAN:
-        warm_family = poisson_family() if spec.family.kind != "binomial-logit" \
-            else spec.family
+        warm_family = poisson_family() if spec.family.kind != BINOMIAL else spec.family
         warm = MeanSpec(warm_family, True, spec.n_covariates)
         prefit = solve(d, glm_score_estfun(warm), compute_sandwich=False)
         if prefit.converged:

@@ -17,10 +17,11 @@ Poisson) plus negative binomial regression with a log link and fixed
 dispersion.  Scores are normalized so the residual coefficient is one,
 i.e. the dispersion factor is divided out; the root of the estimating
 equation is unchanged and the dispersion never needs to be estimated.
+Aliases (linear, logistic) are stored under their canonical family names.
 
-Numerical guard: linear predictors are clamped to [-35, 35] before any
-exponential/logistic evaluation.  Outside that range the clamped predictor
-is treated as constant, so all derivatives vanish there.
+Numerical guard: each evaluation of a family clamps the linear predictor
+to [-35, 35] once, before any exponential/logistic.  Outside that range
+the clamped predictor is treated as constant, so all derivatives vanish.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ GAUSSIAN = "gaussian-identity"
 BINOMIAL = "binomial-logit"
 POISSON = "poisson-log"
 NEGBIN = "negbin-log"
-
-CANONICAL_KINDS = (GAUSSIAN, BINOMIAL, POISSON)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,12 +126,12 @@ def _clamp(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GlmFamily:
     """One exponential-dispersion family on the linear-predictor scale.
 
-    ``mean``/``mean_deta``/``mean_deta2`` are the conditional-mean function
-    and its first two predictor derivatives.  ``dloss_deta`` and
-    ``d2loss_deta2`` are the derivatives of the (normalized) minus
-    log-density, so the score in theta is ``dloss_deta * (1, x)``.
-    ``kappa`` is the fixed negative-binomial dispersion (per arm); it is
-    None for the canonical families.
+    Each method reads one evaluation at eta (``_mean_forms``): the clamped
+    predictor and the mean with its first two predictor derivatives, from
+    one clip and one exp.  ``loss`` is the (normalized) minus log-density
+    and ``dloss_deta``/``d2loss_deta2`` its derivatives, so the score in
+    theta is ``dloss_deta * (1, x)``.  ``kappa`` is the fixed
+    negative-binomial dispersion (per arm); it is None otherwise.
     """
 
     kind: str
@@ -140,40 +139,34 @@ class GlmFamily:
 
     @property
     def is_canonical(self) -> bool:
-        return self.kind in CANONICAL_KINDS
+        return self.kind != NEGBIN
 
     def _kappa(self, arm: int) -> float:
         if self.kappa is None:
             raise SpecificationError("dispersion requested for a non-negbin family")
         return self.kappa[0] if arm == 1 else self.kappa[1]
 
-    # -- mean function and derivatives (w.r.t. the linear predictor) --------
-
-    def mean(self, eta: np.ndarray, arm: int = 1) -> np.ndarray:
+    def _mean_forms(self, eta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(eta_c, mu, dmu, d2mu, inside): the clamped predictor, the mean and
+        its first two predictor derivatives, and the clamp's 0/1 factor."""
+        eta = np.asarray(eta, dtype=float)
         if self.kind == GAUSSIAN:
-            return np.asarray(eta, dtype=float)
-        eta_c, _ = _clamp(np.asarray(eta, dtype=float))
-        if self.kind == BINOMIAL:
-            return 1.0 / (1.0 + np.exp(-eta_c))
-        return np.exp(eta_c)  # poisson-log and negbin-log
-
-    def mean_deta(self, eta: np.ndarray, arm: int = 1) -> np.ndarray:
-        if self.kind == GAUSSIAN:
-            return np.ones_like(np.asarray(eta, dtype=float))
-        eta_c, inside = _clamp(np.asarray(eta, dtype=float))
+            one = np.ones_like(eta)
+            return eta, eta, one, np.zeros_like(eta), one
+        eta_c, inside = _clamp(eta)
         if self.kind == BINOMIAL:
             mu = 1.0 / (1.0 + np.exp(-eta_c))
-            return mu * (1.0 - mu) * inside
-        return np.exp(eta_c) * inside
+            dmu = mu * (1.0 - mu)
+            return eta_c, mu, dmu * inside, dmu * (1.0 - 2.0 * mu) * inside, inside
+        mu = np.exp(eta_c)  # poisson-log and negbin-log
+        dmu = mu * inside
+        return eta_c, mu, dmu, dmu, inside
 
-    def mean_deta2(self, eta: np.ndarray, arm: int = 1) -> np.ndarray:
-        if self.kind == GAUSSIAN:
-            return np.zeros_like(np.asarray(eta, dtype=float))
-        eta_c, inside = _clamp(np.asarray(eta, dtype=float))
-        if self.kind == BINOMIAL:
-            mu = 1.0 / (1.0 + np.exp(-eta_c))
-            return mu * (1.0 - mu) * (1.0 - 2.0 * mu) * inside
-        return np.exp(eta_c) * inside
+    def mean(self, eta: np.ndarray) -> np.ndarray:
+        return self._mean_forms(eta)[1]
+
+    def mean_deta(self, eta: np.ndarray) -> np.ndarray:
+        return self._mean_forms(eta)[2]
 
     def link(self, mu: np.ndarray) -> np.ndarray:
         """Canonical link g = (mean)^-1 on the mean scale."""
@@ -188,43 +181,30 @@ class GlmFamily:
 
     def loss(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        eta_c, _ = _clamp(np.asarray(eta, dtype=float))
+        eta_c, mu, _, _, _ = self._mean_forms(eta)
         if self.kind == GAUSSIAN:
-            eta = np.asarray(eta, dtype=float)
-            return 0.5 * eta**2 - y * eta
+            return 0.5 * eta_c**2 - y * eta_c
         if self.kind == BINOMIAL:
             return np.logaddexp(0.0, eta_c) - y * eta_c
         if self.kind == POISSON:
-            return np.exp(eta_c) - y * eta_c
+            return mu - y * eta_c
         # negbin, up to theta-free terms; log1p keeps large kappa stable
         kappa = self._kappa(arm)
-        mu = np.exp(eta_c)
         return -y * eta_c + (y + kappa) * np.log1p(mu / kappa)
 
     def dloss_deta(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.kind == GAUSSIAN:
-            return np.asarray(eta, dtype=float) - y
-        eta_c, inside = _clamp(np.asarray(eta, dtype=float))
-        if self.kind in (BINOMIAL, POISSON):
-            return (self.mean(eta) - y) * inside
+        _, mu, _, _, inside = self._mean_forms(eta)
+        if self.kind != NEGBIN:
+            return (mu - y) * inside
         kappa = self._kappa(arm)
-        mu = np.exp(eta_c)
         return -kappa * (y - mu) / (kappa + mu) * inside
 
     def d2loss_deta2(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.kind == GAUSSIAN:
-            return np.ones_like(y)
-        eta_c, inside = _clamp(np.asarray(eta, dtype=float))
-        if self.kind == BINOMIAL:
-            mu = 1.0 / (1.0 + np.exp(-eta_c))
-            return mu * (1.0 - mu) * inside
-        if self.kind == POISSON:
-            return np.exp(eta_c) * inside
+        _, mu, dmu, _, inside = self._mean_forms(eta)
+        if self.kind != NEGBIN:
+            return dmu
         kappa = self._kappa(arm)
-        mu = np.exp(eta_c)
-        return kappa * mu * (kappa + y) / (kappa + mu) ** 2 * inside
+        return kappa * mu * (kappa + np.asarray(y, dtype=float)) / (kappa + mu) ** 2 * inside
 
 
 def gaussian_family() -> GlmFamily:
@@ -259,12 +239,13 @@ def negbin_family(kappa) -> GlmFamily:
     return GlmFamily(NEGBIN, kappa=pair)
 
 
-_FAMILY_BUILDERS = {
-    "gaussian": gaussian_family,
-    "linear": gaussian_family,
-    "binomial": binomial_family,
-    "logistic": binomial_family,
-    "poisson": poisson_family,
+_FAMILIES = {  # every accepted family name -> (canonical name, builder)
+    "gaussian": ("gaussian", gaussian_family),
+    "linear": ("gaussian", gaussian_family),
+    "binomial": ("binomial", binomial_family),
+    "logistic": ("binomial", binomial_family),
+    "poisson": ("poisson", poisson_family),
+    "negbin": ("negbin", negbin_family),
 }
 
 
@@ -330,7 +311,7 @@ class MeanSpec:
 
 def glm_mean(spec: MeanSpec, arm: int, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Fitted conditional means h_arm(x; theta) for each covariate row."""
-    return spec.family.mean(spec.eta(arm, x, theta), arm)
+    return spec.family.mean(spec.eta(arm, x, theta))
 
 
 class _DesignKernel:
@@ -431,14 +412,15 @@ def squared_loss_estfun(spec: MeanSpec) -> EstimatingFunction:
     fam = spec.family
 
     def score(y, eta, arm):
-        return -2.0 * (y - fam.mean(eta, arm)) * fam.mean_deta(eta, arm)
+        _, mu, dmu, _, _ = fam._mean_forms(eta)
+        return -2.0 * (y - mu) * dmu
 
     def weight(y, eta, arm):
-        resid = y - fam.mean(eta, arm)
-        return 2.0 * (fam.mean_deta(eta, arm) ** 2 - resid * fam.mean_deta2(eta, arm))
+        _, mu, dmu, d2mu, _ = fam._mean_forms(eta)
+        return 2.0 * (dmu**2 - (y - mu) * d2mu)
 
     def loss(y, eta, arm):
-        return (y - fam.mean(eta, arm)) ** 2
+        return (y - fam._mean_forms(eta)[1]) ** 2
 
     return _spec_estfun(spec, score, weight, loss)
 
@@ -474,10 +456,12 @@ def canonical_q_vectors(spec: MeanSpec, theta: np.ndarray) -> tuple[np.ndarray, 
 class ModelConfig:
     """A working-model description, bound to data later via bind().
 
-    The family is checked on construction.  ``kappa`` is the fixed negbin
-    dispersion, or None (also spelled "moment") to estimate it per arm from
-    the data at bind time.  Other families have no dispersion, so their
-    kappa is always None and equal models compare (and hash) equal.
+    The family is checked on construction and stored under its canonical
+    name, so an alias (linear, logistic) equals the model it names.
+    ``kappa`` is the fixed negbin dispersion, or None (also spelled
+    "moment") to estimate it per arm from the data at bind time.  Other
+    families have no dispersion, so their kappa is always None and equal
+    models compare (and hash) equal.
     """
 
     family_name: str
@@ -485,11 +469,11 @@ class ModelConfig:
     kappa: Optional[float] = None
 
     def __post_init__(self):
-        if self.family_name not in _FAMILY_BUILDERS and self.family_name != "negbin":
+        if self.family_name not in _FAMILIES:
             raise SpecificationError(
-                f"unknown family '{self.family_name}'; expected one of "
-                f"{sorted(set(_FAMILY_BUILDERS) | {'negbin'})}"
+                f"unknown family '{self.family_name}'; expected one of {sorted(_FAMILIES)}"
             )
+        object.__setattr__(self, "family_name", _FAMILIES[self.family_name][0])
         fixed = self.family_name == "negbin" and self.kappa not in (None, "moment")
         if fixed:
             if not np.isscalar(self.kappa):  # negbin_family would take a pair
@@ -498,17 +482,16 @@ class ModelConfig:
         object.__setattr__(self, "kappa", float(self.kappa) if fixed else None)
 
     def build(self, n_covariates: int, kappa=None) -> MeanSpec:
-        if self.family_name == "negbin":
-            k = kappa if kappa is not None else self.kappa
-            if k is None:
-                raise SpecificationError(
-                    "negbin model needs kappa= in the spec string or a "
-                    "dispersion estimated from data"
-                )
-            family = negbin_family(k)
-        else:
-            family = _FAMILY_BUILDERS[self.family_name]()
-        return MeanSpec(family, self.interaction, n_covariates)
+        builder = _FAMILIES[self.family_name][1]
+        if self.family_name != "negbin":
+            return MeanSpec(builder(), self.interaction, n_covariates)
+        kappa = self.kappa if kappa is None else kappa
+        if kappa is None:
+            raise SpecificationError(
+                "negbin model needs kappa= in the spec string or a "
+                "dispersion estimated from data"
+            )
+        return MeanSpec(builder(kappa), self.interaction, n_covariates)
 
     def bind(self, d) -> MeanSpec:
         """The model on a dataset's covariates; negbin without a fixed kappa

@@ -379,28 +379,35 @@ def _read_table(path: str, required: list[str]) -> np.ndarray:
 
     The body is parsed in one columnar call; when that fails or leaves fewer
     than two rows, :func:`_raise_first_bad_row` names the offending cell.
+    A byte that is not UTF-8 is a DataError naming the file, whichever
+    pass reads it first.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        d = _check_header(header, required, path)
-        names = required + [f"x{k}" for k in range(1, d + 1)]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # warns on a body with no rows
-                table = np.loadtxt(
-                    fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                    converters={0: _z_token} if names[0] == "z" else None,
-                )
-        except ValueError as exc:
-            failure = str(exc)
-        else:
-            if table.shape[1] == len(names) and len(table) >= 2:
-                return table
-            failure = f"{len(table)} rows of {table.shape[1]} fields"
-    _raise_first_bad_row(path, names, failure)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            d = _check_header(header, required, path)
+            names = required + [f"x{k}" for k in range(1, d + 1)]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # warns on a body with no rows
+                    table = np.loadtxt(
+                        fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                        converters={0: _z_token} if names[0] == "z" else None,
+                    )
+            except ValueError as exc:  # a UnicodeDecodeError recurs in the re-read
+                failure = str(exc)
+            else:
+                if table.shape[1] == len(names) and len(table) >= 2:
+                    return table
+                failure = f"{len(table)} rows of {table.shape[1]} fields"
+        _raise_first_bad_row(path, names, failure)
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} does not decode)"
+        ) from None
 
 
 def read_dataset_csv(path: str) -> Dataset:

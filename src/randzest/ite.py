@@ -33,7 +33,7 @@ import numpy as np
 from .errors import SpecificationError
 from .estfun import EstimatingFunction, _design_estfun, intercept_design
 from .finitepop import Dataset, fp_var
-from .zestim import ZFit, empirical_jacobian, empirical_psi, sandwich, solve
+from .zestim import ZFit, sandwich, solve
 
 
 def pseudo_effects(d: Dataset) -> np.ndarray:
@@ -139,8 +139,9 @@ def fit_normal_linear(d: Dataset, columns=None) -> NormalLinearFit:
 
     The root of the estimating equation is the least-squares projection of
     the pseudo effects on the intercept-augmented design (default design:
-    the dataset covariates); the sandwich covariance comes from the generic
-    machinery.
+    the dataset covariates).  The generic solver starts there, so its fit
+    reports the convergence check at the closed-form root; the sandwich
+    covariance comes from the generic machinery.
     """
     d_fit = _with_columns(d, columns)
     design = intercept_design(d_fit.x, d_fit.x.shape[1])
@@ -150,20 +151,12 @@ def fit_normal_linear(d: Dataset, columns=None) -> NormalLinearFit:
     theta = np.linalg.solve(design.T @ design / d.n, design.T @ tau_hat / d.n)
 
     estfun = ite_estfun(normal_linear_model(design.shape[1] - 1), d_fit.r1)
-    psi = empirical_psi(d_fit, estfun, theta)
-    zfit = ZFit(
-        theta_hat=theta,
-        converged=True,
-        iterations=0,
-        psi_norm=float(np.max(np.abs(psi))),
-        jac_at_root=empirical_jacobian(d_fit, estfun, theta),
-        n_units=d.n,
-    )
+    zfit = solve(d_fit, estfun, theta, compute_sandwich=False)
     zfit.sigma_hat = sandwich(d_fit, estfun, zfit)
     return NormalLinearFit(
-        theta_hat=theta,
+        theta_hat=zfit.theta_hat,
         sigma_hat=zfit.sigma_hat,
-        fitted=design @ theta,
+        fitted=design @ zfit.theta_hat,
         zfit=zfit,
     )
 

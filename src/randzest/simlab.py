@@ -420,12 +420,14 @@ def _model_from_dict(where: str, raw: dict, imputation: bool):
     method = raw.get("method", "mle")
     if method not in _METHODS:
         raise DataError(f"{where}: unknown 'method' {method!r}; use one of {_METHODS}")
+    interaction = raw.get("interaction", imputation)
+    if not isinstance(interaction, bool):
+        raise DataError(f"{where}: bad 'interaction': expected true or false, got {interaction!r}")
     if "family" not in raw:
         if imputation:
             raise DataError(f"{where}: missing key 'family'")
         return None, method
     try:
-        interaction = bool(raw.get("interaction", imputation))
         model = ModelConfig(raw["family"], interaction, raw.get("kappa"))
     except SpecificationError as exc:
         key = "kappa" if raw["family"] == "negbin" else "family"
@@ -437,6 +439,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     try:
         configs = []
         for j, e in enumerate(doc["estimators"]):
+            if e["kind"] not in _KIND_DISPLAY:
+                raise DataError(
+                    f"estimators[{j}]: unknown 'kind' {e['kind']!r}; "
+                    f"use one of {sorted(_KIND_DISPLAY)}"
+                )
             model, method = _model_from_dict(f"estimators[{j}]", e, imputation=False)
             configs.append(EstimatorConfig(
                 kind=e["kind"],
@@ -469,7 +476,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read scenario file {path}: {exc}") from exc
     return scenario_from_dict(doc)
 

@@ -78,6 +78,21 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
 
+    @pytest.mark.parametrize("where", ["header", "row past 64 KiB"])
+    def test_non_utf8_byte_is_data_error(self, tmp_path, capsys, where):
+        csv_path = tmp_path / "latin1.csv"
+        if where == "header":
+            data = b"z,\xffy\n1,2\n0,3\n"
+        else:
+            rows = "".join(f"{i % 2},{i}.5\n" for i in range(8000))
+            data = b"z,y\n" + rows.encode() + b"0,\xff3\n"
+            assert len(data) > 65536
+        csv_path.write_bytes(data)
+        code = main(["estimate", "--input", str(csv_path), "--estimator", "unadjusted"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(csv_path) in err and "UTF-8" in err, err
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main([
             "estimate", "--input", str(tmp_path / "none.csv"),
@@ -265,6 +280,12 @@ class TestSimulate:
         path.write_text("{not json", encoding="utf-8")
         assert main(["simulate", "--scenario", str(path)]) == 2
 
+    def test_non_utf8_scenario_is_data_error(self, tmp_path, capsys):
+        path = self._scenario_file(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b'"null"', b'"n\xffull"'))
+        assert main(["simulate", "--scenario", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
 
 class TestEnumerate:
     def _pot_csv(self, tmp_path, y1, y0):
@@ -299,6 +320,13 @@ class TestEnumerate:
         assert main(["enumerate", "--input", str(path), "--n1", "1"]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
+
+    def test_non_utf8_byte_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y1,y0\n1,0\n\xff2,1\n")
+        assert main(["enumerate", "--input", str(path), "--n1", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "UTF-8" in err, err
 
     def test_cap_exceeded_names_cap(self, tmp_path, capsys):
         y = list(range(30))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import randzest as rz
-from randzest.errors import SpecificationError
+from randzest.errors import DegenerateInputError, SpecificationError
 from randzest.ite import normal_linear_model, ternary_model
 
 from test_estfun import fd_jacobian, rel_err
@@ -153,6 +153,21 @@ class TestNormalLinear:
         assert iterated.converged
         np.testing.assert_allclose(closed.theta_hat, iterated.theta_hat, atol=1e-10)
         np.testing.assert_allclose(closed.sigma_hat, iterated.sigma_hat, atol=1e-8)
+
+    def test_fit_is_the_solver_fit_at_the_closed_form_root(self):
+        d, _ = _experiment(seed=41)
+        fit = rz.fit_normal_linear(d)
+        f = rz.ite_estfun(normal_linear_model(2), d.r1)
+        assert fit.zfit.converged and fit.zfit.iterations == 0
+        psi = rz.empirical_psi(d, f, fit.theta_hat)
+        assert fit.zfit.psi_norm == float(np.max(np.abs(psi))) <= 1e-10
+        jac = rz.empirical_jacobian(d, f, fit.theta_hat)
+        np.testing.assert_array_equal(fit.zfit.jac_at_root, jac)
+
+    def test_single_unit_arm_has_no_sandwich(self):
+        d, _ = _experiment(n=12, n1=1)
+        with pytest.raises(DegenerateInputError, match="n1=1"):
+            rz.fit_normal_linear(d)
 
     def test_fitted_values(self):
         d, _ = _experiment()

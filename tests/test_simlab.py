@@ -20,6 +20,7 @@ _BAD_MODELS = [  # (scenario model entry, the key its error names)
     ({"family": "negbin", "kappa": float("nan")}, "kappa"),
     ({"family": "negbin", "kappa": "abc"}, "kappa"),
     ({"family": "negbin", "kappa": [1, 2]}, "kappa"),
+    ({"family": "poisson", "interaction": "false"}, "interaction"),
 ]
 
 
@@ -254,6 +255,14 @@ class TestScenarioFiles:
         with pytest.raises(DataError, match=rf"{where}: .*'{key}'"):
             simlab.load_scenario(str(path))
 
+    def test_unknown_kind_rejected_at_load(self):
+        doc = {
+            "dgp": "null", "N": 40, "n1": 20,
+            "estimators": [{"kind": "unadjusted"}, {"kind": "mb", "family": "poisson"}],
+        }
+        with pytest.raises(DataError, match=r"estimators\[1\]: .*'kind'"):
+            scenario_from_dict(doc)
+
     def test_imputation_entries_parse_to_models(self):
         # inside imputations, interaction defaults to true and kappa to "moment"
         s = scenario_from_dict({
@@ -267,6 +276,16 @@ class TestScenarioFiles:
             (ModelConfig("negbin", True), "mle"),
             (ModelConfig("poisson", False), "squared-loss"),
         )
+
+    @pytest.mark.parametrize("alias,name,label", [
+        ("linear", "gaussian", "Linear"), ("logistic", "binomial", "Logit"),
+    ])
+    def test_family_aliases_are_stored_canonically(self, alias, name, label):
+        assert ModelConfig(alias, True) == ModelConfig(name, True)
+        assert ModelConfig(alias).family_name == name
+        for spelling in (alias, name):
+            config = EstimatorConfig(kind="ma", model=ModelConfig(spelling))
+            assert config.labels() == (label, "No", "A")
 
     def test_labels(self):
         config = EstimatorConfig(kind="ma", model=ModelConfig("poisson", True),

@@ -1,5 +1,7 @@
 """Solver, estimating-equation identities, sandwich covariance, Wald sets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -200,6 +202,19 @@ class TestSolve:
         assert rel_err(analytic, numeric) < 1e-6
         gram = _check_kernel_matches_per_unit(d, f, theta)
         assert rel_err(gram, numeric) < 1e-6
+
+    def test_finite_difference_jacobian_without_analytic_one(self, rng):
+        # with no jac1/jac0 and no kernel, the arm kernels fall back to a
+        # central difference of the arm-mean score
+        d, spec = _glm_data(rng, "poisson", True)
+        f = rz.glm_score_estfun(spec)
+        bare = dataclasses.replace(f, jac1=None, jac0=None, kernel=None)
+        theta = 0.1 * rng.standard_normal(spec.dim)
+        analytic = empirical_jacobian(d, f, theta)
+        assert rel_err(empirical_jacobian(d, bare, theta), analytic) < 1e-6
+        fit, bare_fit = rz.solve(d, f), rz.solve(d, bare)
+        assert fit.converged and bare_fit.converged
+        np.testing.assert_allclose(bare_fit.theta_hat, fit.theta_hat, rtol=0, atol=1e-8)
 
 
 class TestLossContract:
