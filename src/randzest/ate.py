@@ -30,6 +30,7 @@ from .estfun import (
     MeanSpec,
     glm_mean,
     glm_score_estfun,
+    leading_design,
     poisson_family,
     squared_loss_estfun,
 )
@@ -144,7 +145,7 @@ def _delta_variance(d: Dataset, spec: MeanSpec, fit: ZFit, gdot1, gdot0) -> floa
     """
     if fit.sigma_hat is None:
         raise ConvergenceError("fit has no sandwich covariance for the delta method")
-    design = spec.design(d.x)
+    design = leading_design(d.plan.design, spec.n_covariates)
     grad = np.zeros(spec.dim)
     for arm, gdot in ((1, gdot1), (0, -gdot0)):
         idx = spec.indices(arm)
@@ -155,8 +156,8 @@ def _delta_variance(d: Dataset, spec: MeanSpec, fit: ZFit, gdot1, gdot0) -> floa
 
 def tau_model_based(d: Dataset, spec: MeanSpec, fit: ZFit, g: GScale) -> AteResult:
     """Average of per-unit fitted contrasts g(h1(x)) - g(h0(x))."""
-    h1 = glm_mean(spec, 1, d.x, fit.theta_hat)
-    h0 = glm_mean(spec, 0, d.x, fit.theta_hat)
+    h1 = glm_mean(spec, 1, d.x, fit.theta_hat, design=d.plan.design)
+    h0 = glm_mean(spec, 0, d.x, fit.theta_hat, design=d.plan.design)
     _require_domain(g, h1, "treated fitted means")
     _require_domain(g, h0, "control fitted means")
     return AteResult(
@@ -171,8 +172,8 @@ def tau_model_based(d: Dataset, spec: MeanSpec, fit: ZFit, g: GScale) -> AteResu
 
 def tau_model_imputed(d: Dataset, spec: MeanSpec, fit: ZFit, g: GScale) -> AteResult:
     """Contrast of g applied to population-averaged imputations."""
-    m1 = float(np.mean(glm_mean(spec, 1, d.x, fit.theta_hat)))
-    m0 = float(np.mean(glm_mean(spec, 0, d.x, fit.theta_hat)))
+    m1 = float(np.mean(glm_mean(spec, 1, d.x, fit.theta_hat, design=d.plan.design)))
+    m0 = float(np.mean(glm_mean(spec, 0, d.x, fit.theta_hat, design=d.plan.design)))
     _require_domain(g, np.array([m1]), "treated imputation average")
     _require_domain(g, np.array([m0]), "control imputation average")
     return AteResult(
@@ -205,15 +206,13 @@ def _ma_from_values(
     """
     adj1 = np.asarray(adj1, dtype=float)
     adj0 = np.asarray(adj0, dtype=float)
-    treated = d.arm_mask(1)
     adjusted = np.where(
-        treated,
+        d.plan.treated.units,
         d.y - adj1 + adj1.mean(),
         d.y - adj0 + adj0.mean(),
     )
-    dummy = Dataset(d.assignment, adjusted, d.x)
-    mean1, var1 = group_moments(dummy, 1)
-    mean0, var0 = group_moments(dummy, 0)
+    mean1, var1 = group_moments(d, 1, adjusted)
+    mean0, var0 = group_moments(d, 0, adjusted)
     _require_domain(g, np.array([mean1]), "treated adjusted mean")
     _require_domain(g, np.array([mean0]), "control adjusted mean")
     tau = float(g.g(mean1) - g.g(mean0))
@@ -254,14 +253,19 @@ def tau_model_assisted(
     )
 
 
-def mean_adjustment(spec: MeanSpec):
-    """Adjustment-function pair built from a working model's means."""
+def mean_adjustment(spec: MeanSpec, design=None):
+    """Adjustment-function pair built from a working model's means.
+
+    ``design`` is the [1, x] of the covariate rows the pair will be
+    evaluated on, when the caller holds it (a dataset's ``plan.design``);
+    the pair then reads it in place of its x argument.
+    """
 
     def h1(x, theta):
-        return glm_mean(spec, 1, x, theta)
+        return glm_mean(spec, 1, x, theta, design=design)
 
     def h0(x, theta):
-        return glm_mean(spec, 0, x, theta)
+        return glm_mean(spec, 0, x, theta, design=design)
 
     return h1, h0
 
@@ -341,12 +345,12 @@ def adjusted_imputation(
             raise ConvergenceError(
                 f"first-stage imputation fit did not converge: {fit.message}"
             )
-        columns.append(glm_mean(spec, 0, d.x, fit.theta_hat))
-        columns.append(glm_mean(spec, 1, d.x, fit.theta_hat))
+        columns.append(glm_mean(spec, 0, d.x, fit.theta_hat, design=d.plan.design))
+        columns.append(glm_mean(spec, 1, d.x, fit.theta_hat, design=d.plan.design))
     full_design = np.column_stack([np.ones(d.n)] + columns)
     adj = {}
     for arm in (1, 0):
-        mask = d.arm_mask(arm)
-        coef = _arm_least_squares(full_design[mask], d.y[mask])
+        rows = d.plan.arm(arm)
+        coef = _arm_least_squares(full_design[rows.units], rows.y)
         adj[arm] = full_design @ coef
     return _ma_from_values(d, adj[1], adj[0], g, "AI", tuple(fit for _, fit in imputations))

@@ -32,6 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SpecificationError
+from .finitepop import with_intercept
 
 ETA_CLAMP = 35.0
 _FD_STEP = 1e-6
@@ -56,8 +57,9 @@ class EstimatingFunction:
         Analytic per-unit derivatives of psi with respect to theta.
     loss1, loss0 : callable(y, x, theta) -> (n,), optional
         Per-unit losses whose theta-gradients are psi1 / psi0.
-    kernel : callable(arm, y, x) -> arm kernel, optional
-        Fused evaluator of the same functions (see :class:`UnitKernel`);
+    kernel : callable(arm, rows) -> arm kernel, optional
+        Fused evaluator of the same functions on one arm's
+        :class:`~randzest.finitepop.ArmRows` (see :class:`UnitKernel`);
         ``dataclasses.replace`` keeps it, so it must agree with the
         callables it is kept with.
     """
@@ -69,7 +71,7 @@ class EstimatingFunction:
     jac0: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     loss1: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     loss0: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
-    kernel: Optional[Callable[[int, np.ndarray, np.ndarray], object]] = None
+    kernel: Optional[Callable[[int, object], object]] = None
 
     @property
     def has_jacobian(self) -> bool:
@@ -83,7 +85,8 @@ class EstimatingFunction:
 class UnitKernel:
     """Arm kernel adapted from an estimating function's per-unit callables.
 
-    An arm kernel evaluates one arm on fixed rows (y, x): ``scores(theta)``
+    An arm kernel evaluates one arm on fixed rows (an
+    :class:`~randzest.finitepop.ArmRows`): ``scores(theta)``
     gives the (n, p) per-unit scores, ``mean(theta, with_risk)`` the
     arm-mean score and, on request, the arm-mean loss (else None), and
     ``jacobian(theta)`` the (p, p) arm-mean Jacobian; here a central finite
@@ -91,8 +94,8 @@ class UnitKernel:
     analytic Jacobians are carried.
     """
 
-    def __init__(self, f: EstimatingFunction, arm: int, y, x):
-        self.y, self.x = y, x
+    def __init__(self, f: EstimatingFunction, arm: int, rows):
+        self.y, self.x = rows.y, rows.x
         self._psi = f.psi1 if arm == 1 else f.psi0
         self._jac = (f.jac1 if arm == 1 else f.jac0) if f.has_jacobian else None
         self._loss = f.loss1 if arm == 1 else f.loss0
@@ -119,7 +122,8 @@ class UnitKernel:
 def _clamp(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamped predictor and the 0/1 derivative factor of the clamp."""
     inside = (np.abs(eta) < ETA_CLAMP).astype(float)
-    return np.clip(eta, -ETA_CLAMP, ETA_CLAMP), inside
+    # np.clip's values (NaN included) without its per-call wrapper cost
+    return np.minimum(np.maximum(eta, -ETA_CLAMP), ETA_CLAMP), inside
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,6 +253,11 @@ _FAMILIES = {  # every accepted family name -> (canonical name, builder)
 }
 
 
+def _check_width(n_covariates: int, available: int) -> None:
+    if available < n_covariates:
+        raise SpecificationError(f"model needs {n_covariates} covariates, data has {available}")
+
+
 def intercept_design(x: np.ndarray, n_covariates: int) -> np.ndarray:
     """Intercept-augmented rows (n, n_covariates + 1) of a covariate matrix.
 
@@ -258,9 +267,20 @@ def intercept_design(x: np.ndarray, n_covariates: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
-    if x.shape[1] < n_covariates:
-        raise SpecificationError(f"model needs {n_covariates} covariates, data has {x.shape[1]}")
-    return np.column_stack([np.ones(x.shape[0]), x[:, :n_covariates]])
+    _check_width(n_covariates, x.shape[1])
+    return with_intercept(x[:, :n_covariates])
+
+
+def leading_design(design: np.ndarray, n_covariates: int) -> np.ndarray:
+    """The rows of :func:`intercept_design`, read from a [1, x] design that
+    holds them already (a dataset plan's).
+
+    A model that reads every covariate gets the design itself.  A narrower
+    one gets a contiguous copy of the leading columns: a strided view would
+    change the rounding of the products taken with it.
+    """
+    _check_width(n_covariates, design.shape[1] - 1)
+    return np.ascontiguousarray(design[:, :n_covariates + 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,18 +320,26 @@ class MeanSpec:
         """Intercept-augmented covariate rows (n, d+1); see :func:`intercept_design`."""
         return intercept_design(x, self.n_covariates)
 
-    def eta(self, arm: int, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def eta(self, arm: int, x: np.ndarray, theta: np.ndarray, *, design=None) -> np.ndarray:
+        """Linear predictors of the covariate rows x; ``design``, if given, is
+        their [1, x] (see :func:`leading_design`) and x is not read."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dim,):
             raise SpecificationError(
                 f"theta has shape {theta.shape}, expected ({self.dim},)"
             )
-        return self.design(x) @ theta[self.indices(arm)]
+        rows = self.design(x) if design is None else leading_design(design, self.n_covariates)
+        return rows @ theta[self.indices(arm)]
 
 
-def glm_mean(spec: MeanSpec, arm: int, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Fitted conditional means h_arm(x; theta) for each covariate row."""
-    return spec.family.mean(spec.eta(arm, x, theta))
+def glm_mean(spec: MeanSpec, arm: int, x: np.ndarray, theta: np.ndarray, *,
+             design=None) -> np.ndarray:
+    """Fitted conditional means h_arm(x; theta) for each covariate row.
+
+    ``design`` is the rows' [1, x] when the caller holds it already (a
+    dataset's ``plan.design``); it is then read instead of x.
+    """
+    return spec.family.mean(spec.eta(arm, x, theta, design=design))
 
 
 class _DesignKernel:
@@ -348,7 +376,10 @@ class _DesignKernel:
         eta = self._eta(theta)
         psi = np.zeros(self.dim)
         psi[self.slots] = self.score(self.y, eta, self.arm) @ self.design / len(self.y)
-        return psi, float(np.mean(self.loss(self.y, eta, self.arm))) if with_risk else None
+        if not with_risk:
+            return psi, None
+        # the reduction np.mean runs, without its wrapper cost
+        return psi, float(self.loss(self.y, eta, self.arm).sum() / len(self.y))
 
     def jacobian(self, theta):
         w = self.weight(self.y, self._eta(theta), self.arm)
@@ -357,19 +388,27 @@ class _DesignKernel:
         return out / len(self.y)
 
 
-def _design_estfun(dim: int, design, slots, score, weight, loss) -> EstimatingFunction:
+def _design_estfun(dim: int, n_covariates: int, slots, score, weight,
+                   loss) -> EstimatingFunction:
     """Estimating function on ``dim`` parameters whose arm-z scores are
-    score(y, eta, z) * design(x) in the positions ``slots[z]``, with
-    eta = design(x) @ theta[slots[z]].  ``weight`` is the eta-derivative of
+    score(y, eta, z) * design in the positions ``slots[z]``, with design the
+    intercept-augmented first ``n_covariates`` covariates and
+    eta = design @ theta[slots[z]].  ``weight`` is the eta-derivative of
     ``score`` (the Jacobian weight) and ``loss`` the function whose
-    eta-derivative is ``score``.  The per-unit callables are evaluated by the
-    same kernel."""
+    eta-derivative is ``score``.  The kernel reads an arm plan's design
+    columns; the per-unit callables build them from x and are evaluated by
+    the same kernel class."""
+    forms = (score, weight, loss)
 
-    def kernel(arm, y, x):
-        return _DesignKernel(design(x), y, arm, slots[arm], dim, (score, weight, loss))
+    def kernel(arm, rows):
+        design = leading_design(rows.design, n_covariates)
+        return _DesignKernel(design, rows.y, arm, slots[arm], dim, forms)
 
     def per_unit(arm, method):
-        return lambda y, x, theta: getattr(kernel(arm, y, x), method)(theta)
+        def evaluate(y, x, theta):
+            design = intercept_design(x, n_covariates)
+            return getattr(_DesignKernel(design, y, arm, slots[arm], dim, forms), method)(theta)
+        return evaluate
 
     return EstimatingFunction(
         dim=dim,
@@ -383,7 +422,7 @@ def _design_estfun(dim: int, design, slots, score, weight, loss) -> EstimatingFu
 def _spec_estfun(spec: MeanSpec, score, weight, loss) -> EstimatingFunction:
     """:func:`_design_estfun` of a working GLM's mean functions."""
     slots = {arm: spec.indices(arm) for arm in (1, 0)}
-    return _design_estfun(spec.dim, spec.design, slots, score, weight, loss)
+    return _design_estfun(spec.dim, spec.n_covariates, slots, score, weight, loss)
 
 
 def glm_score_estfun(spec: MeanSpec) -> EstimatingFunction:
@@ -529,8 +568,7 @@ def moment_kappa(d) -> tuple[float, float]:
     makes the fit effectively Poisson.
     """
     out = []
-    for arm in (1, 0):
-        picked = d.y[d.arm_mask(arm)]
+    for picked in (d.plan.treated.y, d.plan.control.y):
         mu = picked.mean()
         var = picked.var(ddof=1) if picked.size > 1 else 0.0
         if var > mu and mu > 0:

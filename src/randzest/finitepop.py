@@ -2,10 +2,11 @@
 
 Potential outcomes and covariates are fixed constants; the only source of
 randomness is the treatment assignment vector.  This module holds the data
-containers, the finite-population moment calculators (mean with divisor N,
-variance/covariance with divisor N-1, per-arm moments with divisor n_z-1),
-the exact assignment enumerator used as a small-N oracle, and the seeded
-assignment sampler.
+containers (each dataset with its arm plan: the arm split and the
+intercept-augmented design, built once on first use), the finite-population
+moment calculators (mean with divisor N, variance/covariance with divisor
+N-1, per-arm moments with divisor n_z-1), the exact assignment enumerator
+used as a small-N oracle, and the seeded assignment sampler.
 
 Reproducibility: all random draws go through a ``numpy.random.Generator``
 backed by the Philox 4x64 counter-based bit generator.  Philox output is
@@ -20,6 +21,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, NoReturn, Sequence
 
@@ -113,6 +115,7 @@ class Assignment:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "z", arr)
+        object.__setattr__(self, "_n1", n1)
 
     @property
     def n(self) -> int:
@@ -120,16 +123,75 @@ class Assignment:
 
     @property
     def n1(self) -> int:
-        return int(self.z.sum())
+        return self._n1
 
     @property
     def n0(self) -> int:
         return self.n - self.n1
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def with_intercept(x: np.ndarray) -> np.ndarray:
+    """Read-only [1, x] of a covariate matrix."""
+    out = np.empty((x.shape[0], x.shape[1] + 1))
+    out[:, 0] = 1.0
+    out[:, 1:] = x
+    return _frozen(out)
+
+
+class ArmRows:
+    """The units of one arm of a dataset, gathered once in unit order.
+
+    ``units`` is the (N,) boolean mask of the arm's units, ``y`` and ``x``
+    their (n_z,) outcomes and (n_z, d) covariates, ``share`` r_z = n_z / N,
+    and ``design`` the (n_z, d + 1) rows [1, x], built on first use.  Every
+    array is read-only.
+    """
+
+    def __init__(self, units: np.ndarray, y: np.ndarray, x: np.ndarray, share: float):
+        self.units, self.y, self.x, self.share = units, y, x, share
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        return with_intercept(self.x)
+
+
+class ArmPlan:
+    """A dataset's arm split, shared by every estimator run on that dataset.
+
+    ``treated`` and ``control`` hold the arms' rows; ``design`` is [1, x] of
+    all units, built on first use.  A working model on the first k
+    covariates reads the leading k + 1 design columns.
+    """
+
+    def __init__(self, d: "Dataset"):
+        treated = _frozen(d.z == 1)
+        control = _frozen(~treated)
+        self._x = d.x
+        self.treated, self.control = (
+            ArmRows(units, _frozen(d.y.compress(units)),
+                    _frozen(d.x.compress(units, axis=0)), n_z / d.n)
+            for units, n_z in ((treated, d.n1), (control, d.n0))
+        )
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        return with_intercept(self._x)
+
+    def arm(self, z: int) -> ArmRows:
+        return self.treated if z == 1 else self.control
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """One observed experiment: assignment, observed outcomes, covariates."""
+    """One observed experiment: assignment, observed outcomes, covariates.
+
+    :attr:`plan` is built on first use and kept on this dataset only.
+    """
 
     assignment: Assignment
     y: np.ndarray
@@ -172,8 +234,13 @@ class Dataset:
     def r0(self) -> float:
         return self.n0 / self.n
 
+    @cached_property
+    def plan(self) -> ArmPlan:
+        """The arm split: each arm's unit mask and rows, counted once."""
+        return ArmPlan(self)
+
     def arm_mask(self, arm: int) -> np.ndarray:
-        return self.z == arm
+        return self.plan.arm(arm).units
 
 
 def observe(pot: PotentialTable, a: Assignment) -> Dataset:
@@ -225,10 +292,14 @@ def fp_cov_matrix(rows: np.ndarray) -> np.ndarray:
     return centered.T @ centered / (rows.shape[0] - 1)
 
 
+def _arm_values(d: Dataset, arm: int, values) -> np.ndarray:
+    rows = d.plan.arm(arm)
+    return rows.y if values is None else np.asarray(values, dtype=float)[rows.units]
+
+
 def group_mean(d: Dataset, arm: int, values=None) -> float:
     """Sample average over the units assigned to ``arm``."""
-    values = d.y if values is None else np.asarray(values, dtype=float)
-    picked = values[d.arm_mask(arm)]
+    picked = _arm_values(d, arm, values)
     if picked.size == 0:
         raise DegenerateInputError(f"no units in arm {arm}")
     return float(picked.mean())
@@ -236,8 +307,7 @@ def group_mean(d: Dataset, arm: int, values=None) -> float:
 
 def group_moments(d: Dataset, arm: int, values=None) -> tuple[float, float]:
     """Sample mean and variance (divisor n_z - 1) within one arm."""
-    values = d.y if values is None else np.asarray(values, dtype=float)
-    picked = values[d.arm_mask(arm)]
+    picked = _arm_values(d, arm, values)
     if picked.size < 2:
         raise DegenerateInputError(
             f"arm {arm} has {picked.size} unit(s); variance needs at least 2"

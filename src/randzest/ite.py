@@ -25,13 +25,12 @@ by the same conservative sandwich.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import SpecificationError
-from .estfun import EstimatingFunction, _design_estfun, intercept_design
+from .estfun import EstimatingFunction, _design_estfun
 from .finitepop import Dataset, fp_var
 from .zestim import ZFit, sandwich, solve
 
@@ -96,10 +95,7 @@ def ite_estfun(model: EdfTauModel, r1: float) -> EstimatingFunction:
         return model.u(t) - scale[arm] * y * t
 
     slots = np.arange(model.dim)
-    return _design_estfun(
-        model.dim, partial(intercept_design, n_covariates=model.dim - 1),
-        {1: slots, 0: slots}, score, weight, loss,
-    )
+    return _design_estfun(model.dim, model.dim - 1, {1: slots, 0: slots}, score, weight, loss)
 
 
 def _with_columns(d: Dataset, columns) -> Dataset:
@@ -144,7 +140,7 @@ def fit_normal_linear(d: Dataset, columns=None) -> NormalLinearFit:
     covariance comes from the generic machinery.
     """
     d_fit = _with_columns(d, columns)
-    design = intercept_design(d_fit.x, d_fit.x.shape[1])
+    design = d_fit.plan.design
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise SpecificationError("effect-model design matrix is rank deficient")
     tau_hat = pseudo_effects(d_fit)

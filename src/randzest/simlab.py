@@ -241,7 +241,7 @@ def build_estimator(
             return tau_model_based(d, spec, fit, g)
         if kind == "i":
             return tau_model_imputed(d, spec, fit, g)
-        h1, h0 = mean_adjustment(spec)
+        h1, h0 = mean_adjustment(spec, d.plan.design)
         return tau_model_assisted(d, h1, h0, fit.theta_hat, g, fits=(fit,))
 
     return estimate
@@ -436,7 +436,17 @@ def _model_from_dict(where: str, raw: dict, imputation: bool):
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """The scenario a JSON document describes.
+
+    The top-level ``g`` and every estimator entry are checked here, by
+    building the estimator, so a bad one is a DataError naming its location
+    rather than a failure inside :func:`run_study`.
+    """
     try:
+        try:
+            g = gscale(doc.get("g", "log"))
+        except SpecificationError as exc:
+            raise DataError(f"bad top-level 'g': {exc}") from None
         configs = []
         for j, e in enumerate(doc["estimators"]):
             if e["kind"] not in _KIND_DISPLAY:
@@ -445,7 +455,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     f"use one of {sorted(_KIND_DISPLAY)}"
                 )
             model, method = _model_from_dict(f"estimators[{j}]", e, imputation=False)
-            configs.append(EstimatorConfig(
+            config = EstimatorConfig(
                 kind=e["kind"],
                 model=model,
                 method=method,
@@ -457,7 +467,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 model_label=e.get("model"),
                 interaction_label=e.get("interaction_label"),
                 estimation_label=e.get("estimation"),
-            ))
+            )
+            try:
+                build_estimator(config, g)
+            except SpecificationError as exc:
+                raise DataError(f"estimators[{j}]: {exc}") from None
+            configs.append(config)
         return Scenario(
             dgp=doc["dgp"],
             n=int(doc["N"]),

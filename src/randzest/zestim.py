@@ -71,41 +71,37 @@ class ZFit:
 
 
 def _arm_kernels(d: Dataset, f: EstimatingFunction, fused: bool) -> tuple:
-    """(kernel, share, unit mask) of the treated and the control arm: the
-    estimating function's own kernel if ``fused`` and it has one, else its
-    per-unit callables adapted."""
+    """(kernel, arm rows) of the treated and the control arm of the dataset's
+    plan: the estimating function's own kernel if ``fused`` and it has one,
+    else its per-unit callables adapted."""
     make = f.kernel if fused and f.kernel is not None else partial(UnitKernel, f)
-    treated = d.arm_mask(1)
-    control = ~treated
-    return (
-        (make(1, d.y[treated], d.x[treated]), d.r1, treated),
-        (make(0, d.y[control], d.x[control]), d.r0, control),
-    )
+    plan = d.plan
+    return (make(1, plan.treated), plan.treated), (make(0, plan.control), plan.control)
 
 
 def _psi_risk(kernels, theta: np.ndarray, with_risk: bool) -> tuple[np.ndarray, float]:
     """Psi_hat(theta) and, if asked, the empirical risk (else inf); non-finite
     per-unit scores raise NumericalError naming their units."""
-    (k1, r1, units1), (k0, r0, units0) = kernels
+    (k1, rows1), (k0, rows0) = kernels
     psi1, risk1 = k1.mean(theta, with_risk)
     psi0, risk0 = k0.mean(theta, with_risk)
-    for arm, kernel, mean, units in ((1, k1, psi1, units1), (0, k0, psi0, units0)):
+    for arm, kernel, mean, rows in ((1, k1, psi1, rows1), (0, k0, psi0, rows0)):
         if np.isfinite(mean).all():
             continue
         bad = ~np.isfinite(kernel.scores(theta)).all(axis=1)
         if bad.any():
-            where = np.flatnonzero(units)[bad][:5]
+            where = np.flatnonzero(rows.units)[bad][:5]
             raise NumericalError(
                 f"psi_{arm} produced non-finite values at unit index(es) "
                 f"{where.tolist()} (theta={theta.tolist()})"
             )
-    risk = float(r1 * risk1 + r0 * risk0) if with_risk else np.inf
-    return r1 * psi1 + r0 * psi0, risk
+    risk = float(rows1.share * risk1 + rows0.share * risk0) if with_risk else np.inf
+    return rows1.share * psi1 + rows0.share * psi0, risk
 
 
 def _jacobian(kernels, theta: np.ndarray) -> np.ndarray:
-    (k1, r1, _), (k0, r0, _) = kernels
-    return r1 * k1.jacobian(theta) + r0 * k0.jacobian(theta)
+    (k1, rows1), (k0, rows0) = kernels
+    return rows1.share * k1.jacobian(theta) + rows0.share * k0.jacobian(theta)
 
 
 def empirical_psi(d: Dataset, f: EstimatingFunction, theta) -> np.ndarray:
@@ -128,11 +124,10 @@ def empirical_risk(d: Dataset, f: EstimatingFunction, theta) -> float:
     if not f.has_loss:
         raise SpecificationError("estimating function carries no losses")
     theta = np.asarray(theta, dtype=float)
-    treated = d.arm_mask(1)
-    control = ~treated
-    l1 = f.loss1(d.y[treated], d.x[treated], theta)
-    l0 = f.loss0(d.y[control], d.x[control], theta)
-    return float(d.r1 * np.mean(l1) + d.r0 * np.mean(l0))
+    treated, control = d.plan.treated, d.plan.control
+    l1 = f.loss1(treated.y, treated.x, theta)
+    l0 = f.loss0(control.y, control.x, theta)
+    return float(treated.share * np.mean(l1) + control.share * np.mean(l0))
 
 
 def empirical_jacobian(d: Dataset, f: EstimatingFunction, theta) -> np.ndarray:
@@ -168,7 +163,8 @@ def solve(
     losses, the empirical risk does not increase).  A singular Jacobian is
     retried once with a scaled ridge.  Failure to converge never raises: the
     returned fit has ``converged=False`` and a diagnostic message.  Steps and
-    trials evaluate the kernels of ``f``, built once, psi and risk together.
+    trials evaluate the kernels of ``f``, built once on the dataset's arm
+    plan, psi and risk together.
 
     ``theta_cap`` flags divergence: iterates whose max-norm exceeds it stop
     the search as non-converged.  Scores that only saturate (separated
@@ -304,16 +300,20 @@ def _describe_null_directions(jac: np.ndarray) -> str:
 
 
 def sandwich(d: Dataset, f: EstimatingFunction, fit: ZFit) -> np.ndarray:
-    """Conservative sandwich covariance of sqrt(N)(theta_hat - theta)."""
+    """Conservative sandwich covariance of sqrt(N)(theta_hat - theta).
+
+    The per-unit scores come from the arm kernels of ``f`` on the dataset's
+    plan, the same kernels :func:`solve` iterates with.
+    """
     if not fit.converged:
         raise ConvergenceError("sandwich requires a converged fit")
     if d.n1 < 2 or d.n0 < 2:
         raise DegenerateInputError(
             f"sandwich needs >= 2 units per arm, got n1={d.n1}, n0={d.n0}"
         )
-    (k1, r1, _), (k0, r0, _) = _arm_kernels(d, f, False)
-    meat = r1 * fp_cov_matrix(k1.scores(fit.theta_hat)) + \
-        r0 * fp_cov_matrix(k0.scores(fit.theta_hat))
+    (k1, rows1), (k0, rows0) = _arm_kernels(d, f, True)
+    meat = rows1.share * fp_cov_matrix(k1.scores(fit.theta_hat)) + \
+        rows0.share * fp_cov_matrix(k0.scores(fit.theta_hat))
     jac = fit.jac_at_root
     try:
         half = np.linalg.solve(jac, meat)

@@ -280,6 +280,14 @@ class TestSimulate:
         path.write_text("{not json", encoding="utf-8")
         assert main(["simulate", "--scenario", str(path)]) == 2
 
+    def test_bad_estimator_entry_names_its_location(self, tmp_path, capsys):
+        path = self._scenario_file(tmp_path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["estimators"][1] = {"kind": "ma", "family": "negbin", "method": "squared-loss"}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path)]) == 2
+        assert "estimators[1]" in capsys.readouterr().err
+
     def test_non_utf8_scenario_is_data_error(self, tmp_path, capsys):
         path = self._scenario_file(tmp_path)
         path.write_bytes(path.read_bytes().replace(b'"null"', b'"n\xffull"'))

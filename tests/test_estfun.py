@@ -10,7 +10,7 @@ import pytest
 
 import randzest as rz
 from randzest.errors import SpecificationError
-from randzest.estfun import ETA_CLAMP, ModelConfig, parse_model_spec
+from randzest.estfun import ETA_CLAMP, ModelConfig, _clamp, parse_model_spec
 
 FAMILIES = {
     "gaussian": rz.gaussian_family,
@@ -85,6 +85,14 @@ class TestGlmMean:
         theta = np.array([500.0, 0.0, 0.0, 0.0])
         val = rz.glm_mean(spec, 1, [[0.0]], theta)[0]
         assert np.isfinite(val) and val == pytest.approx(np.exp(ETA_CLAMP))
+
+    def test_clamp_equals_clip(self):
+        # the clamp takes np.clip's values, NaN, infinities and signed zeros included
+        eta = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 34.9, 35.0, 35.1, -35.1, -1e300])
+        clamped, inside = _clamp(eta)
+        np.testing.assert_array_equal(clamped, np.clip(eta, -ETA_CLAMP, ETA_CLAMP))
+        assert np.array_equal(np.signbit(clamped), np.signbit(np.clip(eta, -ETA_CLAMP, ETA_CLAMP)))
+        np.testing.assert_array_equal(inside, (np.abs(eta) < ETA_CLAMP).astype(float))
 
     def test_canonical_link_identity(self, rng):
         for name in ("gaussian", "binomial", "poisson"):

@@ -263,18 +263,42 @@ class TestScenarioFiles:
         with pytest.raises(DataError, match=r"estimators\[1\]: .*'kind'"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("entry,top_g,where", [
+        ({"kind": "b", "family": "poisson", "method": "squared-loss"}, "log",
+         r"estimators\[1\]: .*'squared-loss'"),
+        ({"kind": "ma"}, "log", r"estimators\[1\]: .*needs a model"),
+        ({"kind": "ma", "family": "negbin", "method": "squared-loss"}, "log",
+         r"estimators\[1\]: .*interaction"),
+        ({"kind": "unadjusted", "g": "cube"}, "log", r"estimators\[1\]: .*'cube'"),
+        ({"kind": "ai"}, "log", r"estimators\[1\]: .*imputations"),
+        ({"kind": "unadjusted"}, "cube", r"'g': .*'cube'"),
+    ], ids=["b-squared-loss", "ma-no-family", "negbin-sq-no-interaction",
+            "entry-g", "ai-no-imputations", "top-level-g"])
+    def test_estimator_checks_run_at_load(self, entry, top_g, where):
+        # each entry builds its estimator at load, so a bad one names its
+        # location instead of failing inside run_study
+        doc = {
+            "dgp": "null", "N": 40, "n1": 20, "g": top_g,
+            "estimators": [{"kind": "unadjusted"}, entry],
+        }
+        with pytest.raises(DataError, match=where):
+            scenario_from_dict(doc)
+
     def test_imputation_entries_parse_to_models(self):
         # inside imputations, interaction defaults to true and kappa to "moment"
+        # (a squared-loss imputation without interaction is a load error)
         s = scenario_from_dict({
             "dgp": "null", "N": 40, "n1": 20,
             "estimators": [{"kind": "ai", "imputations": [
                 {"family": "negbin"},
-                {"family": "poisson", "interaction": False, "method": "squared-loss"},
+                {"family": "poisson", "interaction": False},
+                {"family": "poisson", "method": "squared-loss"},
             ]}],
         })
         assert s.estimators[0].imputations == (
             (ModelConfig("negbin", True), "mle"),
-            (ModelConfig("poisson", False), "squared-loss"),
+            (ModelConfig("poisson", False), "mle"),
+            (ModelConfig("poisson", True), "squared-loss"),
         )
 
     @pytest.mark.parametrize("alias,name,label", [

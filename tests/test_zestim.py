@@ -95,8 +95,7 @@ def _check_kernel_matches_per_unit(d, f, theta):
     Gram Jacobian."""
     treated = d.arm_mask(1)
     control = ~treated
-    kernels = [(d.r1, f.kernel(1, d.y[treated], d.x[treated])),
-               (d.r0, f.kernel(0, d.y[control], d.x[control]))]
+    kernels = [(d.r1, f.kernel(1, d.plan.treated)), (d.r0, f.kernel(0, d.plan.control))]
     tensors = d.r1 * f.jac1(d.y[treated], d.x[treated], theta).mean(axis=0) \
         + d.r0 * f.jac0(d.y[control], d.x[control], theta).mean(axis=0)
     gram = sum(share * k.jacobian(theta) for share, k in kernels)
@@ -349,6 +348,30 @@ class TestSandwich:
         sigmas = np.empty(reps)
         for r in range(reps):
             d = rz.observe(pot, rz.draw_assignment(gen, n, n // 2))
+            fit = rz.solve(d, f)
+            roots[r] = fit.theta_hat[0]
+            sigmas[r] = fit.sigma_hat[0, 0]
+        mc_var = n * roots.var(ddof=1)
+        mc_err = mc_var * np.sqrt(2.0 / (reps - 1))
+        assert mc_var <= sigmas.mean() + 3 * mc_err
+        assert abs(mc_var - sigmas.mean()) / sigmas.mean() < 0.10
+
+    def test_unbalanced_null_effect_monte_carlo_calibration(self):
+        # The unbalanced twin of the test above, at n1 = 300 of N = 1000: the
+        # intercept-only effect model's root is Ybar1 - Ybar0 and its
+        # sandwich s1^2/r1 + s0^2/r0, whose conservative slack S_tau vanishes
+        # under a constant effect, so N * Var_MC(theta_hat) matches the
+        # average sandwich within the same bands.
+        gen = rz.make_rng(101)
+        n, n1 = 1000, 300
+        y0 = np.clip(np.rint(10 + np.exp(gen.standard_normal(n))), 0, None)
+        pot = rz.PotentialTable(y0 + 2.0, y0)
+        f = rz.ite_estfun(normal_linear_model(0), n1 / n)
+        reps = 2000
+        roots = np.empty(reps)
+        sigmas = np.empty(reps)
+        for r in range(reps):
+            d = rz.observe(pot, rz.draw_assignment(gen, n, n1))
             fit = rz.solve(d, f)
             roots[r] = fit.theta_hat[0]
             sigmas[r] = fit.sigma_hat[0, 0]
