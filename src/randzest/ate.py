@@ -279,8 +279,27 @@ def tau_unadjusted(d: Dataset, g: GScale) -> AteResult:
     return tau_model_assisted(d, zero, zero, np.zeros(0), g, kind="unadjusted")
 
 
+def _intercept_start(d: Dataset, spec: MeanSpec) -> np.ndarray:
+    """Start alpha_z = link(mean of arm z's outcomes), slopes 0: the root of
+    the intercept-only model.  Zeros if any entry is not finite (a binomial
+    arm of all 0 or all 1, a Poisson arm of zeros, an empty arm)."""
+    theta = np.zeros(spec.dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for arm in (1, 0):
+            y = d.plan.arm(arm).y
+            theta[spec.alpha_index(arm)] = spec.family.link(y.mean()) if y.size else np.nan
+    return theta if np.isfinite(theta).all() else np.zeros(spec.dim)
+
+
 def fit_working_model(d: Dataset, spec: MeanSpec, theta0=None) -> ZFit:
-    """Maximum-likelihood fit of a working GLM via Z-estimation."""
+    """Maximum-likelihood fit of a working GLM via Z-estimation.
+
+    Without ``theta0`` the Newton search starts at the intercept-only root
+    (each arm's intercept the link of its outcome mean, slopes 0), or at
+    zeros where that root is not finite.
+    """
+    if theta0 is None:
+        theta0 = _intercept_start(d, spec)
     return solve(d, glm_score_estfun(spec), theta0)
 
 
@@ -289,15 +308,18 @@ def fit_optimal_adjustment(d: Dataset, spec: MeanSpec, theta0=None) -> ZFit:
 
     Minimizing the empirical squared-error risk per arm minimizes the
     estimated model-assisted variance over all parameter values sharing the
-    adjustment form.  Nonlinear mean forms get a warm start from the
-    canonical fit with the same mean function, which keeps the Newton
-    search inside the basin of the least-squares root.
+    adjustment form.  Without ``theta0``, nonlinear mean forms start from
+    the canonical fit with the same mean function (itself started at the
+    intercept-only root, as in :func:`fit_working_model`), which keeps the
+    Newton search inside the basin of the least-squares root; a linear mean,
+    or a canonical fit that does not converge, starts at zeros.
     """
     estfun = squared_loss_estfun(spec)  # raises if parameters are shared
     if theta0 is None and spec.family.kind != GAUSSIAN:
         warm_family = poisson_family() if spec.family.kind != BINOMIAL else spec.family
         warm = MeanSpec(warm_family, True, spec.n_covariates)
-        prefit = solve(d, glm_score_estfun(warm), compute_sandwich=False)
+        prefit = solve(d, glm_score_estfun(warm), _intercept_start(d, warm),
+                       compute_sandwich=False)
         if prefit.converged:
             theta0 = prefit.theta_hat
     return solve(d, estfun, theta0)

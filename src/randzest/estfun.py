@@ -27,6 +27,7 @@ the clamped predictor is treated as constant, so all derivatives vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -134,8 +135,9 @@ class GlmFamily:
     predictor and the mean with its first two predictor derivatives, from
     one clip and one exp.  ``loss`` is the (normalized) minus log-density
     and ``dloss_deta``/``d2loss_deta2`` its derivatives, so the score in
-    theta is ``dloss_deta * (1, x)``.  ``kappa`` is the fixed
-    negative-binomial dispersion (per arm); it is None otherwise.
+    theta is ``dloss_deta * (1, x)``; ``score_weight_loss`` gives all three
+    from one evaluation.  ``kappa`` is the fixed negative-binomial
+    dispersion (per arm); it is None otherwise.
     """
 
     kind: str
@@ -184,8 +186,23 @@ class GlmFamily:
     # -- normalized minus log-density and derivatives ------------------------
 
     def loss(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
+        return self._loss(y, self._mean_forms(eta), arm)
+
+    def dloss_deta(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
+        return self._score(y, self._mean_forms(eta), arm)
+
+    def d2loss_deta2(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
+        return self._weight(y, self._mean_forms(eta), arm)
+
+    def score_weight_loss(self, y: np.ndarray, eta: np.ndarray,
+                          arm: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dloss_deta, d2loss_deta2, loss) at eta from one evaluation."""
+        forms = self._mean_forms(eta)
+        return self._score(y, forms, arm), self._weight(y, forms, arm), self._loss(y, forms, arm)
+
+    def _loss(self, y, forms, arm: int) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        eta_c, mu, _, _, _ = self._mean_forms(eta)
+        eta_c, mu, _, _, _ = forms
         if self.kind == GAUSSIAN:
             return 0.5 * eta_c**2 - y * eta_c
         if self.kind == BINOMIAL:
@@ -196,15 +213,15 @@ class GlmFamily:
         kappa = self._kappa(arm)
         return -y * eta_c + (y + kappa) * np.log1p(mu / kappa)
 
-    def dloss_deta(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
-        _, mu, _, _, inside = self._mean_forms(eta)
+    def _score(self, y, forms, arm: int) -> np.ndarray:
+        _, mu, _, _, inside = forms
         if self.kind != NEGBIN:
             return (mu - y) * inside
         kappa = self._kappa(arm)
         return -kappa * (y - mu) / (kappa + mu) * inside
 
-    def d2loss_deta2(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
-        _, mu, dmu, _, inside = self._mean_forms(eta)
+    def _weight(self, y, forms, arm: int) -> np.ndarray:
+        _, mu, dmu, _, inside = forms
         if self.kind != NEGBIN:
             return dmu
         kappa = self._kappa(arm)
@@ -302,16 +319,20 @@ class MeanSpec:
         d = self.n_covariates
         return 2 + (2 * d if self.interaction else d)
 
-    def indices(self, arm: int) -> np.ndarray:
-        """Flat-theta positions of (alpha_arm, beta_arm)."""
+    @cached_property
+    def _indices(self) -> dict[int, np.ndarray]:
         d = self.n_covariates
-        alpha = 0 if arm == 1 else 1
-        if self.interaction:
-            start = 2 if arm == 1 else 2 + d
-            beta = np.arange(start, start + d)
-        else:
-            beta = np.arange(2, 2 + d)
-        return np.concatenate([[alpha], beta]).astype(int)
+        out = {}
+        for arm in (1, 0):
+            start = 2 + d if self.interaction and arm == 0 else 2
+            out[arm] = np.concatenate([[self.alpha_index(arm)], np.arange(start, start + d)])
+            out[arm].flags.writeable = False
+        return out
+
+    def indices(self, arm: int) -> np.ndarray:
+        """Flat-theta positions of (alpha_arm, beta_arm), built once per spec
+        and read-only."""
+        return self._indices[1 if arm == 1 else 0]
 
     def alpha_index(self, arm: int) -> int:
         return 0 if arm == 1 else 1
@@ -346,69 +367,90 @@ class _DesignKernel:
     """Arm kernel of a model whose scores are score(y, eta) * design rows in
     the arm's parameter slots, eta = design @ theta[slots]: eta is formed once
     per evaluation and the arm-mean Jacobian is design' diag(weight) design / n
-    in the slots' block."""
+    in the slots' block, placed through the flat positions ``flat`` of that
+    block in a (dim, dim) matrix.
 
-    def __init__(self, design, y, arm: int, slots, dim: int, forms):
+    ``score(y, eta, arm)`` is the score factor alone; ``evaluate(y, eta,
+    arm)`` gives (score, weight, loss) from one evaluation.  A trial
+    ``mean(theta, True)`` keeps its weights, so the Jacobian at the point a
+    solve has just accepted (its last trial) reuses them.
+    """
+
+    def __init__(self, design, y, arm: int, slots, flat, dim: int, score, evaluate):
         self.design, self.y = design, np.asarray(y, dtype=float)
-        self.arm, self.slots, self.dim = arm, slots, dim
-        self.score, self.weight, self.loss = forms
+        self.arm, self.slots, self.flat, self.dim = arm, slots, flat, dim
+        self.score, self.evaluate = score, evaluate
+        self._trial = (None, None)  # (bytes of theta[slots], weight) of the last trial
 
-    def _eta(self, theta):
-        return self.design @ np.asarray(theta, dtype=float)[self.slots]
+    def _coef(self, theta):
+        return np.asarray(theta, dtype=float)[self.slots]
+
+    def _weight(self, theta):
+        coef = self._coef(theta)
+        key, weight = self._trial
+        if coef.tobytes() == key:
+            return weight
+        return self.evaluate(self.y, self.design @ coef, self.arm)[1]
 
     def scores(self, theta):
-        factor = self.score(self.y, self._eta(theta), self.arm)
+        factor = self.score(self.y, self.design @ self._coef(theta), self.arm)
         out = np.zeros((len(self.y), self.dim))
         out[:, self.slots] = factor[:, None] * self.design
         return out
 
     def unit_jacobians(self, theta):
-        w = self.weight(self.y, self._eta(theta), self.arm)
-        out = np.zeros((len(self.y), self.dim, self.dim))
+        w = self._weight(theta)
+        n = len(self.y)
         block = w[:, None, None] * self.design[:, :, None] * self.design[:, None, :]
-        out[np.ix_(np.arange(len(self.y)), self.slots, self.slots)] = block
-        return out
+        out = np.zeros((n, self.dim * self.dim))
+        out[:, self.flat] = block.reshape(n, -1)
+        return out.reshape(n, self.dim, self.dim)
 
     def losses(self, theta):
-        return self.loss(self.y, self._eta(theta), self.arm)
+        return self.evaluate(self.y, self.design @ self._coef(theta), self.arm)[2]
 
     def mean(self, theta, with_risk: bool = False):
-        eta = self._eta(theta)
+        coef = self._coef(theta)
+        eta = self.design @ coef
         psi = np.zeros(self.dim)
-        psi[self.slots] = self.score(self.y, eta, self.arm) @ self.design / len(self.y)
         if not with_risk:
+            psi[self.slots] = self.score(self.y, eta, self.arm) @ self.design / len(self.y)
             return psi, None
+        score, weight, loss = self.evaluate(self.y, eta, self.arm)
+        self._trial = (coef.tobytes(), weight)
+        psi[self.slots] = score @ self.design / len(self.y)
         # the reduction np.mean runs, without its wrapper cost
-        return psi, float(self.loss(self.y, eta, self.arm).sum() / len(self.y))
+        return psi, float(loss.sum() / len(self.y))
 
     def jacobian(self, theta):
-        w = self.weight(self.y, self._eta(theta), self.arm)
-        out = np.zeros((self.dim, self.dim))
-        out[np.ix_(self.slots, self.slots)] = self.design.T @ (w[:, None] * self.design)
-        return out / len(self.y)
+        w = self._weight(theta)
+        out = np.zeros(self.dim * self.dim)
+        out[self.flat] = (self.design.T @ (w[:, None] * self.design) / len(self.y)).ravel()
+        return out.reshape(self.dim, self.dim)
 
 
-def _design_estfun(dim: int, n_covariates: int, slots, score, weight,
-                   loss) -> EstimatingFunction:
+def _design_estfun(dim: int, n_covariates: int, slots, score,
+                   evaluate) -> EstimatingFunction:
     """Estimating function on ``dim`` parameters whose arm-z scores are
     score(y, eta, z) * design in the positions ``slots[z]``, with design the
     intercept-augmented first ``n_covariates`` covariates and
-    eta = design @ theta[slots[z]].  ``weight`` is the eta-derivative of
-    ``score`` (the Jacobian weight) and ``loss`` the function whose
-    eta-derivative is ``score``.  The kernel reads an arm plan's design
-    columns; the per-unit callables build them from x and are evaluated by
-    the same kernel class."""
-    forms = (score, weight, loss)
+    eta = design @ theta[slots[z]].  ``evaluate(y, eta, z)`` gives the score
+    with its eta-derivative (the Jacobian weight) and the loss whose
+    eta-derivative is the score, from one evaluation.  The kernel reads an
+    arm plan's design columns; the per-unit callables build them from x and
+    are evaluated by the same kernel class."""
+    flat = {arm: (s[:, None] * dim + s).ravel() for arm, s in slots.items()}
+
+    def make(arm, design, y):
+        return _DesignKernel(design, y, arm, slots[arm], flat[arm], dim, score, evaluate)
 
     def kernel(arm, rows):
-        design = leading_design(rows.design, n_covariates)
-        return _DesignKernel(design, rows.y, arm, slots[arm], dim, forms)
+        return make(arm, leading_design(rows.design, n_covariates), rows.y)
 
     def per_unit(arm, method):
-        def evaluate(y, x, theta):
-            design = intercept_design(x, n_covariates)
-            return getattr(_DesignKernel(design, y, arm, slots[arm], dim, forms), method)(theta)
-        return evaluate
+        def evaluate_units(y, x, theta):
+            return getattr(make(arm, intercept_design(x, n_covariates), y), method)(theta)
+        return evaluate_units
 
     return EstimatingFunction(
         dim=dim,
@@ -419,10 +461,10 @@ def _design_estfun(dim: int, n_covariates: int, slots, score, weight,
     )
 
 
-def _spec_estfun(spec: MeanSpec, score, weight, loss) -> EstimatingFunction:
+def _spec_estfun(spec: MeanSpec, score, evaluate) -> EstimatingFunction:
     """:func:`_design_estfun` of a working GLM's mean functions."""
     slots = {arm: spec.indices(arm) for arm in (1, 0)}
-    return _design_estfun(spec.dim, spec.n_covariates, slots, score, weight, loss)
+    return _design_estfun(spec.dim, spec.n_covariates, slots, score, evaluate)
 
 
 def glm_score_estfun(spec: MeanSpec) -> EstimatingFunction:
@@ -434,7 +476,7 @@ def glm_score_estfun(spec: MeanSpec) -> EstimatingFunction:
     normalized minus log-density losses are attached.
     """
     fam = spec.family
-    return _spec_estfun(spec, fam.dloss_deta, fam.d2loss_deta2, fam.loss)
+    return _spec_estfun(spec, fam.dloss_deta, fam.score_weight_loss)
 
 
 def squared_loss_estfun(spec: MeanSpec) -> EstimatingFunction:
@@ -454,14 +496,12 @@ def squared_loss_estfun(spec: MeanSpec) -> EstimatingFunction:
         _, mu, dmu, _, _ = fam._mean_forms(eta)
         return -2.0 * (y - mu) * dmu
 
-    def weight(y, eta, arm):
+    def evaluate(y, eta, arm):
         _, mu, dmu, d2mu, _ = fam._mean_forms(eta)
-        return 2.0 * (dmu**2 - (y - mu) * d2mu)
+        resid = y - mu
+        return -2.0 * resid * dmu, 2.0 * (dmu**2 - resid * d2mu), resid**2
 
-    def loss(y, eta, arm):
-        return (y - fam._mean_forms(eta)[1]) ** 2
-
-    return _spec_estfun(spec, score, weight, loss)
+    return _spec_estfun(spec, score, evaluate)
 
 
 def canonical_q_vectors(spec: MeanSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

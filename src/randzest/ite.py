@@ -88,14 +88,11 @@ def ite_estfun(model: EdfTauModel, r1: float) -> EstimatingFunction:
     def score(y, t, arm):
         return model.u_dt(t) - scale[arm] * y
 
-    def weight(y, t, arm):
-        return model.u_dt2(t)
-
-    def loss(y, t, arm):
-        return model.u(t) - scale[arm] * y * t
+    def evaluate(y, t, arm):
+        return score(y, t, arm), model.u_dt2(t), model.u(t) - scale[arm] * y * t
 
     slots = np.arange(model.dim)
-    return _design_estfun(model.dim, model.dim - 1, {1: slots, 0: slots}, score, weight, loss)
+    return _design_estfun(model.dim, model.dim - 1, {1: slots, 0: slots}, score, evaluate)
 
 
 def _with_columns(d: Dataset, columns) -> Dataset:

@@ -146,6 +146,25 @@ def _ridge(jac: np.ndarray) -> np.ndarray:
     return jac + 1e-8 * (scale if scale > 0 else 1.0) * np.eye(p)
 
 
+def _gradient_search(kernels, theta, psi, risk):
+    """Armijo backtracking along -psi, the risk's descent direction, for when
+    the Newton direction points uphill in the risk (an indefinite Jacobian
+    near saddles of a nonlinear least-squares surface); None if it fails."""
+    grad_sq = float(psi @ psi)
+    lam = 1.0 / (1.0 + np.linalg.norm(psi))
+    while lam >= _MIN_STEP:
+        candidate = theta - lam * psi
+        try:
+            psi_new, risk_new = _psi_risk(kernels, candidate, True)
+        except NumericalError:
+            lam *= 0.5
+            continue
+        if np.isfinite(risk_new) and risk_new <= risk - 1e-4 * lam * grad_sq:
+            return candidate, psi_new, risk_new
+        lam *= 0.5
+    return None
+
+
 def solve(
     d: Dataset,
     f: EstimatingFunction,
@@ -158,13 +177,16 @@ def solve(
 ) -> ZFit:
     """Damped Newton search for a root of the empirical estimating equation.
 
-    Steps are theta <- theta - lambda * J^-1 Psi_hat with lambda halved
-    until the psi norm decreases (and, when the estimating function carries
-    losses, the empirical risk does not increase).  A singular Jacobian is
-    retried once with a scaled ridge.  Failure to converge never raises: the
-    returned fit has ``converged=False`` and a diagnostic message.  Steps and
-    trials evaluate the kernels of ``f``, built once on the dataset's arm
-    plan, psi and risk together.
+    The search starts at ``theta0``, or at zeros when it is None.  Steps are
+    theta <- theta - lambda * J^-1 Psi_hat with lambda halved until the psi
+    norm decreases (and, when the estimating function carries losses, the
+    empirical risk does not increase); if no Newton step passes, a step
+    along -Psi_hat with an Armijo risk condition is tried.  A singular
+    Jacobian is retried once with a scaled ridge.  Failure to converge never
+    raises: the returned fit has ``converged=False`` and a diagnostic
+    message.  Steps and trials evaluate the kernels of ``f``, built once on
+    the dataset's arm plan, psi and risk together; a kernel may keep a
+    trial's evaluation for the Jacobian at the point accepted.
 
     ``theta_cap`` flags divergence: iterates whose max-norm exceeds it stop
     the search as non-converged.  Scores that only saturate (separated
@@ -212,8 +234,8 @@ def solve(
             message = "Newton step is non-finite"
             break
 
+        found = None
         lam = 1.0
-        accepted = False
         psi_norm = np.linalg.norm(psi)
         while lam >= _MIN_STEP:
             candidate = theta - lam * step
@@ -226,32 +248,15 @@ def solve(
             if ok and use_risk:
                 ok = np.isfinite(risk_new) and risk_new <= risk + 1e-14 * (1 + abs(risk))
             if ok:
-                theta, psi, risk = candidate, psi_new, risk_new
-                accepted = True
+                found = candidate, psi_new, risk_new
                 break
             lam *= 0.5
-        if not accepted and use_risk:
-            # The Newton direction can point uphill in the risk (indefinite
-            # Jacobian near saddles of a nonlinear least-squares surface).
-            # psi is the risk gradient, so backtrack along -psi with an
-            # Armijo condition instead.
-            grad_sq = float(psi @ psi)
-            lam = 1.0 / (1.0 + np.linalg.norm(psi))
-            while lam >= _MIN_STEP:
-                candidate = theta - lam * psi
-                try:
-                    psi_new, risk_new = _psi_risk(kernels, candidate, True)
-                except NumericalError:
-                    lam *= 0.5
-                    continue
-                if np.isfinite(risk_new) and risk_new <= risk - 1e-4 * lam * grad_sq:
-                    theta, psi, risk = candidate, psi_new, risk_new
-                    accepted = True
-                    break
-                lam *= 0.5
-        if not accepted:
+        if found is None and use_risk:
+            found = _gradient_search(kernels, theta, psi, risk)
+        if found is None:
             message = "line search failed to reduce the psi norm"
             break
+        theta, psi, risk = found
         if np.max(np.abs(theta)) > theta_cap:
             diverged = True
             message = (

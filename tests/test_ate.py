@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import randzest as rz
-from randzest.ate import IDENTITY, LOG, LOGIT
+from randzest.ate import IDENTITY, LOG, LOGIT, _intercept_start
 from randzest.errors import ConvergenceError, DomainError, SpecificationError
+from randzest.estfun import ModelConfig
 
 from test_estfun import fd_gradient
 
@@ -286,3 +287,55 @@ class TestConfidenceIntervals:
         assert doc["estimator_kind"] == "AI"
         assert doc["se"] == pytest.approx(np.sqrt(2.0 / 80))
         assert doc["ci_low"] < 0.4 < doc["ci_high"]
+
+
+class TestInterceptStart:
+    """fit_working_model starts at the intercept-only root."""
+
+    @staticmethod
+    def _case(family, interaction):
+        from conftest import make_glm_dataset
+
+        d, spec = make_glm_dataset(17, "poisson" if family == "negbin" else family, interaction)
+        if family == "negbin":
+            spec = rz.MeanSpec(rz.negbin_family((1.5, 3.0)), interaction, spec.n_covariates)
+        return d, spec
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial", "poisson", "negbin"])
+    @pytest.mark.parametrize("interaction", [True, False])
+    def test_reaches_the_zero_start_root(self, family, interaction):
+        d, spec = self._case(family, interaction)
+        f = rz.glm_score_estfun(spec)
+        start = _intercept_start(d, spec)
+        alphas = [spec.alpha_index(1), spec.alpha_index(0)]
+        assert np.all(np.delete(start, alphas) == 0.0)
+        # the intercept scores vanish there
+        np.testing.assert_allclose(rz.empirical_psi(d, f, start)[alphas], 0.0, atol=1e-12)
+        fit, zero_start = rz.fit_working_model(d, spec), rz.solve(d, f)
+        assert fit.converged and zero_start.converged
+        np.testing.assert_allclose(fit.theta_hat, zero_start.theta_hat, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("family,arm_y", [("binomial", 1.0), ("poisson", 0.0)])
+    def test_non_finite_start_falls_back_to_zeros(self, family, arm_y):
+        d, spec = self._case(family, True)
+        y = np.where(d.z == 1, arm_y, d.y)  # link(arm mean) is infinite
+        d = rz.Dataset(d.assignment, y, d.x)
+        assert np.array_equal(_intercept_start(d, spec), np.zeros(spec.dim))
+        fit, zero_start = rz.fit_working_model(d, spec), rz.solve(d, rz.glm_score_estfun(spec))
+        assert np.array_equal(fit.theta_hat, zero_start.theta_hat)
+        assert (fit.converged, fit.iterations, fit.message) == \
+            (zero_start.converged, zero_start.iterations, zero_start.message)
+
+    def test_fewer_iterations_on_table_a1(self):
+        s = rz.load_scenario(rz.bundled_scenario_path("table_a1"))
+        pot = rz.gen_population(s, rz.make_rng(s.seed, 0))
+        models = [ModelConfig("poisson", False), ModelConfig("poisson", True),
+                  ModelConfig("negbin", True)]
+        iterations = np.zeros((len(models), 2))
+        for rep in range(30):
+            d = rz.observe(pot, rz.draw_assignment(rz.make_rng(s.seed, rep + 1), s.n, s.n1))
+            for j, model in enumerate(models):
+                spec = model.bind(d)
+                iterations[j] += (rz.solve(d, rz.glm_score_estfun(spec)).iterations,
+                                  rz.fit_working_model(d, spec).iterations)
+        assert np.all(iterations[:, 1] < iterations[:, 0]), iterations / 30

@@ -11,6 +11,7 @@ import pytest
 import randzest as rz
 from randzest.errors import SpecificationError
 from randzest.estfun import ETA_CLAMP, ModelConfig, _clamp, parse_model_spec
+from randzest.ite import ite_estfun, normal_linear_model, ternary_model
 
 FAMILIES = {
     "gaussian": rz.gaussian_family,
@@ -155,6 +156,124 @@ class TestScores:
                 analytic = jac(y, x, theta)[0]
                 numeric = fd_jacobian(lambda t: psi(y, x, t)[0], theta)
                 assert rel_err(analytic, numeric) < 1e-6
+
+
+def _glm_case(family, interaction, seed=5):
+    """A conftest dataset for the family (negbin on Poisson outcomes) and the
+    working model of that family on it."""
+    from conftest import make_glm_dataset
+
+    d, spec = make_glm_dataset(seed, "poisson" if family == "negbin" else family, interaction)
+    return d, rz.MeanSpec(FAMILIES[family](), interaction, spec.n_covariates)
+
+
+def _old_indices(spec, arm):
+    """The slot arrays as built on every call before they were cached."""
+    d = spec.n_covariates
+    alpha = 0 if arm == 1 else 1
+    if spec.interaction:
+        start = 2 if arm == 1 else 2 + d
+        beta = np.arange(start, start + d)
+    else:
+        beta = np.arange(2, 2 + d)
+    return np.concatenate([[alpha], beta]).astype(int)
+
+
+class TestIndices:
+    @pytest.mark.parametrize("interaction", [True, False])
+    @pytest.mark.parametrize("n_covariates", [0, 1, 3])
+    def test_cached_read_only_and_unchanged(self, interaction, n_covariates):
+        spec = rz.MeanSpec(rz.poisson_family(), interaction, n_covariates)
+        for arm in (1, 0):
+            idx = spec.indices(arm)
+            assert idx is spec.indices(arm)
+            assert np.array_equal(idx, _old_indices(spec, arm))
+            assert idx.dtype == _old_indices(spec, arm).dtype
+            with pytest.raises(ValueError):
+                idx[0] = 7
+
+
+# theta scales: one keeps eta well inside the clamp, one pushes it past +/-35
+THETA_SCALES = [0.5, 40.0]
+
+
+def _squared_forms(fam, y, eta):
+    """The squared-loss score, weight and loss, written out."""
+    _, mu, dmu, d2mu, _ = fam._mean_forms(eta)
+    return -2.0 * (y - mu) * dmu, 2.0 * (dmu**2 - (y - mu) * d2mu), (y - mu) ** 2
+
+
+def _assert_same_bits(got, expected):
+    for g, e in zip(got, expected, strict=True):
+        assert g.dtype == e.dtype and np.array_equal(g, e, equal_nan=True)
+
+
+class TestFusedEvaluation:
+    """One evaluation per trial gives the bits of the separate formulas."""
+
+    @pytest.mark.parametrize("scale", THETA_SCALES)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("method,interaction",
+                             [("mle", True), ("mle", False), ("squared-loss", True)])
+    def test_working_models(self, family, method, interaction, scale):
+        d, spec = _glm_case(family, interaction)
+        if family == "negbin":  # a different dispersion per arm
+            spec = rz.MeanSpec(rz.negbin_family((1.7, 4.0)), interaction, spec.n_covariates)
+        fam = spec.family
+        mle = method == "mle"
+        f = rz.glm_score_estfun(spec) if mle else rz.squared_loss_estfun(spec)
+        theta = scale * rz.make_rng(9).standard_normal(spec.dim)
+        clamped = False
+        for arm in (1, 0):
+            k = f.kernel(arm, d.plan.arm(arm))
+            eta = k.design @ theta[spec.indices(arm)]
+            clamped |= bool(np.any(np.abs(eta) > ETA_CLAMP))
+            got = k.evaluate(k.y, eta, arm)
+            if mle:
+                expected = (fam.dloss_deta(k.y, eta, arm), fam.d2loss_deta2(k.y, eta, arm),
+                            fam.loss(k.y, eta, arm))
+            else:
+                expected = _squared_forms(fam, k.y, eta)
+            _assert_same_bits(got, expected)
+            _assert_same_bits([k.score(k.y, eta, arm)], expected[:1])
+            trial, _ = k.mean(theta, True)
+            assert np.array_equal(trial, k.mean(theta)[0])
+        assert clamped == (scale > 1)
+
+    @pytest.mark.parametrize("scale", THETA_SCALES)
+    @pytest.mark.parametrize("model", ["normal", "ternary"])
+    def test_effect_models(self, model, scale):
+        d, _ = _glm_case("binomial", True)
+        n_columns = d.x.shape[1]
+        tau = normal_linear_model(n_columns) if model == "normal" else ternary_model(n_columns, 2.0)
+        f = ite_estfun(tau, d.r1)
+        theta = scale * rz.make_rng(9).standard_normal(tau.dim)
+        for arm, s in ((1, 1.0 / d.r1), (0, -1.0 / d.r0)):
+            k = f.kernel(arm, d.plan.arm(arm))
+            t = k.design @ theta
+            expected = (tau.u_dt(t) - s * k.y, tau.u_dt2(t), tau.u(t) - s * k.y * t)
+            _assert_same_bits(k.evaluate(k.y, t, arm), expected)
+            _assert_same_bits([k.score(k.y, t, arm)], expected[:1])
+
+
+class TestUnitJacobians:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("interaction", [True, False])
+    def test_equal_the_ix_scatter(self, family, interaction):
+        d, spec = _glm_case(family, interaction)
+        f = rz.glm_score_estfun(spec)
+        theta = 0.3 * rz.make_rng(4).standard_normal(spec.dim)
+        for arm, jac in ((1, f.jac1), (0, f.jac0)):
+            rows = d.plan.arm(arm)
+            idx = spec.indices(arm)
+            design = rows.design
+            w = spec.family.d2loss_deta2(rows.y, design @ theta[idx], arm)
+            n = len(rows.y)
+            expected = np.zeros((n, spec.dim, spec.dim))
+            expected[np.ix_(np.arange(n), idx, idx)] = \
+                w[:, None, None] * design[:, :, None] * design[:, None, :]
+            got = jac(rows.y, rows.x, theta)
+            assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
 class TestQVectors:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import randzest as rz
 from randzest.errors import NumericalError, SpecificationError
 from randzest.ite import normal_linear_model, ternary_model
+from randzest import zestim
 from randzest.zestim import empirical_jacobian
 
 from test_estfun import FAMILIES, fd_gradient, fd_jacobian, rel_err
@@ -214,6 +215,73 @@ class TestSolve:
         fit, bare_fit = rz.solve(d, f), rz.solve(d, bare)
         assert fit.converged and bare_fit.converged
         np.testing.assert_allclose(bare_fit.theta_hat, fit.theta_hat, rtol=0, atol=1e-8)
+
+
+class TestSolverPaths:
+    """The gradient fallback and the ridge retry, on the fused kernels and on
+    the per-unit callables alike."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        inner = getattr(zestim, name)
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(zestim, name, counted)
+        return calls
+
+    def _check_both_paths(self, monkeypatch, name, d, f, theta0=None, **kwargs):
+        calls = self._count(monkeypatch, name)
+        fit = rz.solve(d, f, theta0, **kwargs)
+        assert calls, f"{name} not reached"
+        del calls[:]
+        per_unit = rz.solve(d, dataclasses.replace(f, kernel=None), theta0, **kwargs)
+        assert calls, f"{name} not reached without the kernels"
+        assert fit.converged and per_unit.converged
+        np.testing.assert_allclose(fit.theta_hat, per_unit.theta_hat, rtol=1e-10, atol=0)
+
+    def test_gradient_fallback(self, monkeypatch):
+        # far below the outcomes the squared-loss weights 2 mu (2 mu - y) are
+        # negative, so the Newton step points uphill in the risk
+        from conftest import make_glm_dataset
+
+        d, spec = make_glm_dataset(3, "poisson", True)
+        theta0 = np.zeros(spec.dim)
+        theta0[[spec.alpha_index(1), spec.alpha_index(0)]] = -1.0
+        self._check_both_paths(monkeypatch, "_gradient_search", d,
+                               rz.squared_loss_estfun(spec), theta0)
+
+    @pytest.mark.parametrize("method", ["mle", "squared-loss"])
+    def test_ridge_retry(self, monkeypatch, method):
+        # a covariate column of zeros: the Jacobian is singular in its slots
+        gen = rz.make_rng(5)
+        x = np.column_stack([gen.standard_normal(200), np.zeros(200)])
+        y = gen.poisson(np.exp(0.3 + 0.2 * x[:, 0])).astype(float)
+        d = rz.Dataset(rz.draw_assignment(gen, 200, 100), y, x)
+        spec = rz.MeanSpec(rz.poisson_family(), True, 2)
+        self._check_both_paths(monkeypatch, "_ridge", d, _estfun(method, spec),
+                               compute_sandwich=False)
+
+    @pytest.mark.parametrize("family,method,interaction", MODELS)
+    def test_jacobian_after_a_trial_equals_a_fresh_one(self, rng, family, method, interaction):
+        d, spec = _glm_data(rng, family, interaction)
+        f = _estfun(method, spec)
+        first, last = (0.2 * rng.standard_normal(spec.dim) for _ in range(2))
+        for arm in (1, 0):
+            rows = d.plan.arm(arm)
+            k = f.kernel(arm, rows)
+            k.mean(first, True)
+            k.mean(last, True)
+            evaluations = []
+            evaluate = k.evaluate
+            k.evaluate = lambda *args: evaluations.append(1) or evaluate(*args)
+            assert np.array_equal(k.jacobian(last), f.kernel(arm, rows).jacobian(last))
+            assert not evaluations  # the last trial's weights were reused
+            assert np.array_equal(k.jacobian(first), f.kernel(arm, rows).jacobian(first))
+            assert evaluations
 
 
 class TestLossContract:
