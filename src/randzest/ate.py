@@ -15,6 +15,7 @@ coverage studies cannot be silently corrupted.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,6 +28,7 @@ from .errors import ConvergenceError, DomainError, SpecificationError
 from .estfun import (
     BINOMIAL,
     GAUSSIAN,
+    GlmFamily,
     MeanSpec,
     glm_mean,
     glm_score_estfun,
@@ -35,7 +37,7 @@ from .estfun import (
     squared_loss_estfun,
 )
 from .finitepop import Dataset, group_moments
-from .zestim import ZFit, solve
+from .zestim import ZFit, _solve_block, solve
 
 
 @dataclass(frozen=True)
@@ -301,6 +303,27 @@ def fit_working_model(d: Dataset, spec: MeanSpec, theta0=None) -> ZFit:
     if theta0 is None:
         theta0 = _intercept_start(d, spec)
     return solve(d, glm_score_estfun(spec), theta0)
+
+
+def _block_spec(specs: Sequence[MeanSpec]) -> MeanSpec:
+    """One spec for a block of bindings of the same model: a negbin family
+    carries each arm's per-dataset dispersions as an (R, 1) column."""
+    spec = specs[0]
+    if spec.family.kappa is None:
+        return spec
+    kappa = tuple(np.array([[s.family.kappa[k]] for s in specs]) for k in (0, 1))
+    return dataclasses.replace(spec, family=GlmFamily(spec.family.kind, kappa=kappa))
+
+
+def fit_working_models(datasets: Sequence[Dataset], specs: Sequence[MeanSpec]) -> list:
+    """:func:`fit_working_model` of each dataset's spec, as one block solve.
+
+    The datasets share their arm sizes and the specs one model, bound to
+    each dataset (negbin dispersions may differ).  Returns, per dataset, its
+    fit or the error :func:`fit_working_model` would raise on it.
+    """
+    theta0 = [_intercept_start(d, spec) for d, spec in zip(datasets, specs)]
+    return _solve_block(datasets, glm_score_estfun(_block_spec(specs)), theta0)
 
 
 def fit_optimal_adjustment(d: Dataset, spec: MeanSpec, theta0=None) -> ZFit:

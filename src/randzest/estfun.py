@@ -6,11 +6,13 @@ Jacobians and loss functions.  All callables are vectorized over units:
 ``psi(y, x, theta)`` takes an outcome vector of length n and an (n, d)
 covariate matrix and returns an (n, p) matrix of per-unit scores.
 
-The solver evaluates each arm through an arm kernel (see :class:`UnitKernel`).
-The working-model factories here and :func:`randzest.ite.ite_estfun` define
-each score by three scalar functions of (y, eta) -- score factor, Jacobian
-weight, loss -- whose kernel forms eta once per theta and the Jacobian as a
-weighted Gram matrix.
+The solver evaluates each arm of a block of datasets through an arm kernel
+(see :class:`UnitKernel`).  The working-model factories here and
+:func:`randzest.ite.ite_estfun` define each score by three scalar functions
+of (y, eta) -- score factor, Jacobian weight, loss -- whose kernel forms eta
+once per theta and the Jacobian as a weighted Gram matrix, by batched
+products over the block.  A negative binomial family may carry each
+dataset's dispersions as (R, 1) columns, one row per dataset of a block.
 
 The concrete families here are the canonical-link GLMs (linear, logistic,
 Poisson) plus negative binomial regression with a log link and fixed
@@ -58,9 +60,10 @@ class EstimatingFunction:
         Analytic per-unit derivatives of psi with respect to theta.
     loss1, loss0 : callable(y, x, theta) -> (n,), optional
         Per-unit losses whose theta-gradients are psi1 / psi0.
-    kernel : callable(arm, rows) -> arm kernel, optional
-        Fused evaluator of the same functions on one arm's
-        :class:`~randzest.finitepop.ArmRows` (see :class:`UnitKernel`);
+    kernel : callable(arm, block) -> arm kernel, optional
+        Fused evaluator of the same functions on one arm of a block of
+        datasets, a sequence of :class:`~randzest.finitepop.ArmRows` of
+        equal length (see :class:`UnitKernel`);
         ``dataclasses.replace`` keeps it, so it must agree with the
         callables it is kept with.
     """
@@ -86,37 +89,45 @@ class EstimatingFunction:
 class UnitKernel:
     """Arm kernel adapted from an estimating function's per-unit callables.
 
-    An arm kernel evaluates one arm on fixed rows (an
-    :class:`~randzest.finitepop.ArmRows`): ``scores(theta)``
-    gives the (n, p) per-unit scores, ``mean(theta, with_risk)`` the
-    arm-mean score and, on request, the arm-mean loss (else None), and
-    ``jacobian(theta)`` the (p, p) arm-mean Jacobian; here a central finite
-    difference of the arm-mean score (step 1e-6 * (1 + |theta_k|)) when no
-    analytic Jacobians are carried.
+    An arm kernel evaluates one arm of a block of R datasets with equal arm
+    sizes, on fixed rows (a sequence of R
+    :class:`~randzest.finitepop.ArmRows`), at an (R, p) array of parameters,
+    one row per dataset: ``scores(theta)`` gives the (R, n, p) per-unit
+    scores, ``mean(theta, with_risk)`` the (R, p) arm-mean scores and, on
+    request, the (R,) arm-mean losses (else None), and ``jacobian(theta)``
+    the (R, p, p) arm-mean Jacobians; here a central finite difference of
+    the arm-mean score (step 1e-6 * (1 + |theta_k|)) when no analytic
+    Jacobians are carried.  This kernel loops over the block.
     """
 
-    def __init__(self, f: EstimatingFunction, arm: int, rows):
-        self.y, self.x = rows.y, rows.x
+    def __init__(self, f: EstimatingFunction, arm: int, block):
+        self.rows = [(rows.y, rows.x) for rows in block]
         self._psi = f.psi1 if arm == 1 else f.psi0
         self._jac = (f.jac1 if arm == 1 else f.jac0) if f.has_jacobian else None
         self._loss = f.loss1 if arm == 1 else f.loss0
 
+    def _each(self, fn, theta):
+        return [fn(y, x, t) for (y, x), t in zip(self.rows, theta)]
+
     def scores(self, theta):
-        return self._psi(self.y, self.x, theta)
+        return np.array(self._each(self._psi, theta))
 
     def mean(self, theta, with_risk: bool = False):
-        psi = self.scores(theta).mean(axis=0)
-        return psi, float(np.mean(self._loss(self.y, self.x, theta))) if with_risk else None
+        psi = np.array([scores.mean(axis=0) for scores in self._each(self._psi, theta)])
+        if not with_risk:
+            return psi, None
+        return psi, np.array([np.mean(loss) for loss in self._each(self._loss, theta)])
 
     def jacobian(self, theta):
         if self._jac is not None:
-            return self._jac(self.y, self.x, theta).mean(axis=0)
+            return np.array([jac.mean(axis=0) for jac in self._each(self._jac, theta)])
         theta = np.asarray(theta, dtype=float)
-        jac = np.empty((len(theta), len(theta)))
-        for k in range(len(theta)):
-            step = np.zeros(len(theta))
-            step[k] = _FD_STEP * (1.0 + abs(theta[k]))
-            jac[:, k] = (self.mean(theta + step)[0] - self.mean(theta - step)[0]) / (2 * step[k])
+        jac = np.empty(theta.shape + theta.shape[-1:])
+        for k in range(theta.shape[1]):
+            step = np.zeros_like(theta)
+            step[:, k] = _FD_STEP * (1.0 + np.abs(theta[:, k]))
+            diff = self.mean(theta + step)[0] - self.mean(theta - step)[0]
+            jac[:, :, k] = diff / (2 * step[:, k:k + 1])
         return jac
 
 
@@ -137,7 +148,8 @@ class GlmFamily:
     and ``dloss_deta``/``d2loss_deta2`` its derivatives, so the score in
     theta is ``dloss_deta * (1, x)``; ``score_weight_loss`` gives all three
     from one evaluation.  ``kappa`` is the fixed negative-binomial
-    dispersion (per arm); it is None otherwise.
+    dispersion (per arm: two numbers, or two (R, 1) columns for a block of
+    R datasets); it is None otherwise.
     """
 
     kind: str
@@ -365,68 +377,78 @@ def glm_mean(spec: MeanSpec, arm: int, x: np.ndarray, theta: np.ndarray, *,
 
 class _DesignKernel:
     """Arm kernel of a model whose scores are score(y, eta) * design rows in
-    the arm's parameter slots, eta = design @ theta[slots]: eta is formed once
-    per evaluation and the arm-mean Jacobian is design' diag(weight) design / n
-    in the slots' block, placed through the flat positions ``flat`` of that
-    block in a (dim, dim) matrix.
+    the arm's parameter slots, eta = design @ theta[slots].  It runs on one
+    dataset's rows (``design`` (n, q), ``y`` (n,), theta (p,)) or on a block
+    of R datasets (a leading axis on all three: (R, n, q), (R, n), (R, p)).
+    eta is formed once per evaluation by one (batched) product, and the
+    arm-mean Jacobian is design' diag(weight) design / n in the slots'
+    block, placed through the flat positions ``flat`` of that block in a
+    (dim, dim) matrix.  Every product is taken slice by slice, so a
+    dataset's numbers do not depend on the block it is evaluated in.
 
     ``score(y, eta, arm)`` is the score factor alone; ``evaluate(y, eta,
     arm)`` gives (score, weight, loss) from one evaluation.  A trial
-    ``mean(theta, True)`` keeps its weights, so the Jacobian at the point a
-    solve has just accepted (its last trial) reuses them.
+    ``mean(theta, True)`` keeps its weights, so the Jacobian at the points a
+    solve has just evaluated (its last trial) reuses them.
     """
 
     def __init__(self, design, y, arm: int, slots, flat, dim: int, score, evaluate):
         self.design, self.y = design, np.asarray(y, dtype=float)
         self.arm, self.slots, self.flat, self.dim = arm, slots, flat, dim
         self.score, self.evaluate = score, evaluate
-        self._trial = (None, None)  # (bytes of theta[slots], weight) of the last trial
+        self._trial = (None, None)  # (bytes of theta[..., slots], weight) of the last trial
 
     def _coef(self, theta):
-        return np.asarray(theta, dtype=float)[self.slots]
+        return np.asarray(theta, dtype=float).take(self.slots, axis=-1)
+
+    def _eta(self, coef):
+        return (self.design @ coef[..., None])[..., 0]
 
     def _weight(self, theta):
         coef = self._coef(theta)
         key, weight = self._trial
         if coef.tobytes() == key:
             return weight
-        return self.evaluate(self.y, self.design @ coef, self.arm)[1]
+        return self.evaluate(self.y, self._eta(coef), self.arm)[1]
 
     def scores(self, theta):
-        factor = self.score(self.y, self.design @ self._coef(theta), self.arm)
-        out = np.zeros((len(self.y), self.dim))
-        out[:, self.slots] = factor[:, None] * self.design
+        factor = self.score(self.y, self._eta(self._coef(theta)), self.arm)
+        out = np.zeros(self.y.shape + (self.dim,))
+        out[..., self.slots] = factor[..., None] * self.design
         return out
 
     def unit_jacobians(self, theta):
         w = self._weight(theta)
-        n = len(self.y)
-        block = w[:, None, None] * self.design[:, :, None] * self.design[:, None, :]
-        out = np.zeros((n, self.dim * self.dim))
-        out[:, self.flat] = block.reshape(n, -1)
-        return out.reshape(n, self.dim, self.dim)
+        block = w[..., None, None] * self.design[..., :, None] * self.design[..., None, :]
+        out = np.zeros(self.y.shape + (self.dim * self.dim,))
+        out[..., self.flat] = block.reshape(self.y.shape + (-1,))
+        return out.reshape(self.y.shape + (self.dim, self.dim))
 
     def losses(self, theta):
-        return self.evaluate(self.y, self.design @ self._coef(theta), self.arm)[2]
+        return self.evaluate(self.y, self._eta(self._coef(theta)), self.arm)[2]
 
     def mean(self, theta, with_risk: bool = False):
         coef = self._coef(theta)
-        eta = self.design @ coef
-        psi = np.zeros(self.dim)
+        eta = self._eta(coef)
+        n = self.y.shape[-1]
+        psi = np.zeros(coef.shape[:-1] + (self.dim,))
         if not with_risk:
-            psi[self.slots] = self.score(self.y, eta, self.arm) @ self.design / len(self.y)
+            psi[..., self.slots] = (self.score(self.y, eta, self.arm)[..., None, :]
+                                    @ self.design)[..., 0, :] / n
             return psi, None
         score, weight, loss = self.evaluate(self.y, eta, self.arm)
         self._trial = (coef.tobytes(), weight)
-        psi[self.slots] = score @ self.design / len(self.y)
+        psi[..., self.slots] = (score[..., None, :] @ self.design)[..., 0, :] / n
         # the reduction np.mean runs, without its wrapper cost
-        return psi, float(loss.sum() / len(self.y))
+        return psi, loss.sum(axis=-1) / n
 
     def jacobian(self, theta):
         w = self._weight(theta)
-        out = np.zeros(self.dim * self.dim)
-        out[self.flat] = (self.design.T @ (w[:, None] * self.design) / len(self.y)).ravel()
-        return out.reshape(self.dim, self.dim)
+        lead = w.shape[:-1]
+        gram = self.design.swapaxes(-1, -2) @ (w[..., None] * self.design) / w.shape[-1]
+        out = np.zeros(lead + (self.dim * self.dim,))
+        out[..., self.flat] = gram.reshape(lead + (-1,))
+        return out.reshape(lead + (self.dim, self.dim))
 
 
 def _design_estfun(dim: int, n_covariates: int, slots, score,
@@ -436,16 +458,21 @@ def _design_estfun(dim: int, n_covariates: int, slots, score,
     intercept-augmented first ``n_covariates`` covariates and
     eta = design @ theta[slots[z]].  ``evaluate(y, eta, z)`` gives the score
     with its eta-derivative (the Jacobian weight) and the loss whose
-    eta-derivative is the score, from one evaluation.  The kernel reads an
-    arm plan's design columns; the per-unit callables build them from x and
-    are evaluated by the same kernel class."""
+    eta-derivative is the score, from one evaluation; both act elementwise.
+    The kernel stacks a block of arm plans' design columns; the per-unit
+    callables build them from x and are evaluated by the same kernel class
+    on one dataset."""
     flat = {arm: (s[:, None] * dim + s).ravel() for arm, s in slots.items()}
 
     def make(arm, design, y):
         return _DesignKernel(design, y, arm, slots[arm], flat[arm], dim, score, evaluate)
 
-    def kernel(arm, rows):
-        return make(arm, leading_design(rows.design, n_covariates), rows.y)
+    def kernel(arm, block):
+        if len(block) == 1:  # a view of the plan's rows, not a stacked copy
+            rows = block[0]
+            return make(arm, leading_design(rows.design, n_covariates)[None], rows.y[None])
+        return make(arm, np.stack([leading_design(rows.design, n_covariates) for rows in block]),
+                    np.stack([rows.y for rows in block]))
 
     def per_unit(arm, method):
         def evaluate_units(y, x, theta):

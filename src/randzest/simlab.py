@@ -8,8 +8,9 @@ bias, SD, RMSE, mean estimated SE, and CI coverage of the truth.
 
 Reproducibility contract: the population uses the Philox stream
 (seed, 0) and replication r uses stream (seed, r + 1), so identical
-scenario + seed gives a bit-identical table regardless of execution order;
-results are aggregated by replication index.
+scenario + seed gives a bit-identical table regardless of execution order
+and of the block size the maximum-likelihood fits are grouped by; results
+are aggregated by replication index.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .ate import (
     adjusted_imputation,
     fit_optimal_adjustment,
     fit_working_model,
+    fit_working_models,
     gscale,
     mean_adjustment,
     tau_model_assisted,
@@ -177,15 +179,34 @@ def _check_method(model: ModelConfig, method: str) -> None:
         )
 
 
+def _fit_model(model: ModelConfig, method: str) -> ModelConfig:
+    """The model a fit of ``model`` by ``method`` is made and cached under."""
+    if method == "squared-loss" and model.family_name == "negbin":
+        # Poisson and negbin share the exponential mean form.
+        return ModelConfig("poisson", model.interaction)
+    return model
+
+
+def _checked(method: str, model: ModelConfig, spec, fit):
+    """The cache entry of a fit: (spec, fit), or the ConvergenceError of a
+    fit that did not converge."""
+    if not fit.converged:
+        return ConvergenceError(
+            f"{method} {model.family_name} fit did not converge after "
+            f"{fit.iterations} iterations: {fit.message}"
+        )
+    return spec, fit
+
+
 def _fit(d: Dataset, model: ModelConfig, method: str, cache: dict):
     """(spec, fit) of a working model, shared through the per-dataset cache.
 
     A squared-loss fit of a non-linear mean starts from the maximum-likelihood
-    fit of the same mean form, which the cache usually holds already.
+    fit of the same mean form, which the cache usually holds already.  A
+    fit that did not converge is cached as its ConvergenceError, and a
+    cached error is raised again.
     """
-    if method == "squared-loss" and model.family_name == "negbin":
-        # Poisson and negbin share the exponential mean form.
-        model = ModelConfig("poisson", model.interaction)
+    model = _fit_model(model, method)
     key = (method, model)
     if key not in cache:
         spec = model.bind(d)
@@ -199,13 +220,39 @@ def _fit(d: Dataset, model: ModelConfig, method: str, cache: dict):
                 except (RandzestError, np.linalg.LinAlgError):
                     pass
             fit = fit_optimal_adjustment(d, spec, theta0)
-        if not fit.converged:
-            raise ConvergenceError(
-                f"{method} {model.family_name} fit did not converge after "
-                f"{fit.iterations} iterations: {fit.message}"
-            )
-        cache[key] = (spec, fit)
-    return cache[key]
+        cache[key] = _checked(method, model, spec, fit)
+    entry = cache[key]
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+def _mle_models(configs) -> list[ModelConfig]:
+    """Every model a replication of the roster fits by maximum likelihood:
+    its own maximum-likelihood entries and the starts of its squared-loss
+    fits of non-linear means, each once."""
+    pairs = []
+    for config in configs:
+        if config.kind in ("b", "i", "ma"):
+            pairs.append((config.model, config.method))
+        elif config.kind == "ai":
+            pairs.extend(config.imputations)
+    out = []
+    for model, method in pairs:
+        model = _fit_model(model, method)
+        if (method == "mle" or model.family_name != "gaussian") and model not in out:
+            out.append(model)
+    return out
+
+
+def _fit_block(block: list, models: list, caches: list) -> None:
+    """Put every maximum-likelihood fit of ``models`` on each dataset of the
+    block into that dataset's cache, one block solve per model."""
+    for model in models:
+        specs = [model.bind(d) for d in block]
+        for cache, spec, fit in zip(caches, specs, fit_working_models(block, specs)):
+            cache[("mle", model)] = fit if isinstance(fit, Exception) else \
+                _checked("mle", model, spec, fit)
 
 
 def build_estimator(
@@ -299,6 +346,7 @@ class StudyTable:
 
 
 _FAILURE_KINDS = (RandzestError, np.linalg.LinAlgError, FloatingPointError)
+_BLOCK = 16  # replications whose maximum-likelihood fits are one block solve
 
 
 def run_study(
@@ -307,6 +355,15 @@ def run_study(
     rng: Optional[np.random.Generator] = None,
 ) -> StudyTable:
     """Run the full Monte Carlo study for one scenario.
+
+    Replications run in blocks of 16.  Each block draws and observes its
+    assignments, fits every maximum-likelihood working model its roster
+    needs once for the whole block (one block Newton search per model, see
+    :func:`randzest.ate.fit_working_models`), puts each replication's fit,
+    or the error its own fit would raise, in that replication's fit cache,
+    and then runs the estimators replication by replication.  A dataset's
+    fit does not depend on the block it is fitted in, so the table is
+    bit-identical for every block size.
 
     Failed replications (non-convergence, scale-domain violations, singular
     fits) are excluded from that estimator's aggregates and counted; a
@@ -327,22 +384,27 @@ def run_study(
     covered = np.zeros((n_est, reps), dtype=bool)
     failed = np.zeros((n_est, reps), dtype=bool)
 
+    mle_models = _mle_models(s.estimators)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for rep in range(reps):
-            rep_rng = make_rng(s.seed, stream=rep + 1)
-            data = observe(pot, draw_assignment(rep_rng, s.n, s.n1))
-            cache: dict = {}
-            for j, estimate in enumerate(estimators):
-                try:
-                    result = estimate(data, cache)
-                    lo, hi = result.ci(s.alpha)
-                except _FAILURE_KINDS:
-                    failed[j, rep] = True
-                    continue
-                est[j, rep] = result.tau_hat
-                ses[j, rep] = np.sqrt(result.variance_hat)
-                covered[j, rep] = lo <= truth <= hi
+        for first in range(0, reps, _BLOCK):
+            block_reps = range(first, min(first + _BLOCK, reps))
+            block = [observe(pot, draw_assignment(make_rng(s.seed, stream=rep + 1), s.n, s.n1))
+                     for rep in block_reps]
+            caches: list = [{} for _ in block]
+            _fit_block(block, mle_models, caches)
+            for rep, data, cache in zip(block_reps, block, caches):
+                for j, estimate in enumerate(estimators):
+                    try:
+                        result = estimate(data, cache)
+                        lo, hi = result.ci(s.alpha)
+                    except _FAILURE_KINDS:
+                        failed[j, rep] = True
+                        continue
+                    est[j, rep] = result.tau_hat
+                    ses[j, rep] = np.sqrt(result.variance_hat)
+                    covered[j, rep] = lo <= truth <= hi
 
     scale = np.sqrt(s.n)
     rows = []

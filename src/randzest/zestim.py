@@ -16,6 +16,10 @@ The covariance of the root is estimated by the conservative sandwich
 with J the Jacobian of Psi_hat at the root and per-arm sample covariances
 using divisor n_z - 1.  Sigma_hat scales sqrt(N)(theta_hat - theta), so
 Wald sets divide by N.
+
+One damped Newton loop serves a block of datasets with equal arm sizes
+(``_solve_block``, each dataset with its own step lengths, stops and
+messages); :func:`solve` is its one-dataset case.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     SpecificationError,
 )
 from .estfun import EstimatingFunction, UnitKernel
-from .finitepop import Dataset, PotentialTable, fp_cov_matrix
+from .finitepop import Dataset, PotentialTable
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
@@ -70,43 +74,76 @@ class ZFit:
         }
 
 
-def _arm_kernels(d: Dataset, f: EstimatingFunction, fused: bool) -> tuple:
-    """(kernel, arm rows) of the treated and the control arm of the dataset's
-    plan: the estimating function's own kernel if ``fused`` and it has one,
-    else its per-unit callables adapted."""
+def _arm_kernels(datasets, f: EstimatingFunction, fused: bool) -> tuple:
+    """(arm, kernel, arm rows) of the treated and the control arm of a block
+    of datasets with equal arm sizes, on their arm plans: the estimating
+    function's own kernel if ``fused`` and it has one, else its per-unit
+    callables adapted."""
     make = f.kernel if fused and f.kernel is not None else partial(UnitKernel, f)
-    plan = d.plan
-    return (make(1, plan.treated), plan.treated), (make(0, plan.control), plan.control)
+    out = []
+    for arm in (1, 0):
+        block = [d.plan.arm(arm) for d in datasets]
+        out.append((arm, make(arm, block), block))
+    return tuple(out)
 
 
-def _psi_risk(kernels, theta: np.ndarray, with_risk: bool) -> tuple[np.ndarray, float]:
-    """Psi_hat(theta) and, if asked, the empirical risk (else inf); non-finite
-    per-unit scores raise NumericalError naming their units."""
-    (k1, rows1), (k0, rows0) = kernels
+def _psi_risk(kernels, theta: np.ndarray, with_risk: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Psi_hat at each row of theta (R, p) and, if asked, the empirical risks
+    (else inf); a row is non-finite wherever its scores are."""
+    (_, k1, block1), (_, k0, block0) = kernels
+    share1, share0 = block1[0].share, block0[0].share
     psi1, risk1 = k1.mean(theta, with_risk)
     psi0, risk0 = k0.mean(theta, with_risk)
-    for arm, kernel, mean, rows in ((1, k1, psi1, rows1), (0, k0, psi0, rows0)):
-        if np.isfinite(mean).all():
-            continue
-        bad = ~np.isfinite(kernel.scores(theta)).all(axis=1)
-        if bad.any():
-            where = np.flatnonzero(rows.units)[bad][:5]
-            raise NumericalError(
-                f"psi_{arm} produced non-finite values at unit index(es) "
-                f"{where.tolist()} (theta={theta.tolist()})"
-            )
-    risk = float(rows1.share * risk1 + rows0.share * risk0) if with_risk else np.inf
-    return rows1.share * psi1 + rows0.share * psi0, risk
+    risk = share1 * risk1 + share0 * risk0 if with_risk else np.full(len(theta), np.inf)
+    return share1 * psi1 + share0 * psi0, risk
+
+
+def _score_error(arm: int, rows, scores: np.ndarray, theta: np.ndarray):
+    """The NumericalError naming the first units of an arm whose per-unit
+    scores are non-finite, or None."""
+    bad = ~np.isfinite(scores).all(axis=1)
+    if not bad.any():
+        return None
+    where = np.flatnonzero(rows.units)[bad][:5]
+    return NumericalError(
+        f"psi_{arm} produced non-finite values at unit index(es) "
+        f"{where.tolist()} (theta={theta.tolist()})"
+    )
+
+
+def _score_errors(kernels, theta: np.ndarray, psi: np.ndarray) -> list:
+    """Per row of theta, the :func:`_score_error` of its first arm with
+    non-finite scores, if its Psi_hat is not finite; else None."""
+    errors = [None] * len(theta)
+    if np.isfinite(psi).all():
+        return errors
+    pending = (~np.isfinite(psi).all(axis=1)).nonzero()[0]
+    for arm, kernel, block in kernels:
+        scores = kernel.scores(theta)
+        for r in pending:
+            if errors[r] is None:
+                errors[r] = _score_error(arm, block[r], scores[r], theta[r])
+    return errors
 
 
 def _jacobian(kernels, theta: np.ndarray) -> np.ndarray:
-    (k1, rows1), (k0, rows0) = kernels
-    return rows1.share * k1.jacobian(theta) + rows0.share * k0.jacobian(theta)
+    (_, k1, block1), (_, k0, block0) = kernels
+    return block1[0].share * k1.jacobian(theta) + block0[0].share * k0.jacobian(theta)
 
 
 def empirical_psi(d: Dataset, f: EstimatingFunction, theta) -> np.ndarray:
-    """The observed estimating equation Psi_hat(theta)."""
-    return _psi_risk(_arm_kernels(d, f, False), np.asarray(theta, dtype=float), False)[0]
+    """The observed estimating equation Psi_hat(theta), from the per-unit
+    scores; non-finite scores raise NumericalError naming their units."""
+    theta = np.asarray(theta, dtype=float)
+    means = []
+    for arm, rows, psi in ((1, d.plan.treated, f.psi1), (0, d.plan.control, f.psi0)):
+        scores = psi(rows.y, rows.x, theta)
+        means.append(scores.mean(axis=0))
+        if not np.isfinite(means[-1]).all():
+            error = _score_error(arm, rows, scores, theta)
+            if error is not None:
+                raise error
+    return d.plan.treated.share * means[0] + d.plan.control.share * means[1]
 
 
 def population_psi(
@@ -120,14 +157,14 @@ def population_psi(
 
 
 def empirical_risk(d: Dataset, f: EstimatingFunction, theta) -> float:
-    """The observed risk r1*mean(loss_1) + r0*mean(loss_0)."""
+    """The observed risk r1*mean(loss_1) + r0*mean(loss_0), read from the
+    arm kernels of the dataset's plan."""
     if not f.has_loss:
         raise SpecificationError("estimating function carries no losses")
-    theta = np.asarray(theta, dtype=float)
-    treated, control = d.plan.treated, d.plan.control
-    l1 = f.loss1(treated.y, treated.x, theta)
-    l0 = f.loss0(control.y, control.x, theta)
-    return float(treated.share * np.mean(l1) + control.share * np.mean(l0))
+    theta = np.asarray(theta, dtype=float)[None]
+    (_, k1, block1), (_, k0, block0) = _arm_kernels([d], f, True)
+    risk1, risk0 = k1.mean(theta, True)[1][0], k0.mean(theta, True)[1][0]
+    return float(block1[0].share * risk1 + block0[0].share * risk0)
 
 
 def empirical_jacobian(d: Dataset, f: EstimatingFunction, theta) -> np.ndarray:
@@ -137,7 +174,7 @@ def empirical_jacobian(d: Dataset, f: EstimatingFunction, theta) -> np.ndarray:
     carries them, otherwise central finite differences of each arm's mean
     score with per-coordinate step 1e-6 * (1 + |theta_k|).
     """
-    return _jacobian(_arm_kernels(d, f, False), np.asarray(theta, dtype=float))
+    return _jacobian(_arm_kernels([d], f, False), np.asarray(theta, dtype=float)[None])[0]
 
 
 def _ridge(jac: np.ndarray) -> np.ndarray:
@@ -146,23 +183,180 @@ def _ridge(jac: np.ndarray) -> np.ndarray:
     return jac + 1e-8 * (scale if scale > 0 else 1.0) * np.eye(p)
 
 
-def _gradient_search(kernels, theta, psi, risk):
-    """Armijo backtracking along -psi, the risk's descent direction, for when
-    the Newton direction points uphill in the risk (an indefinite Jacobian
-    near saddles of a nonlinear least-squares surface); None if it fails."""
-    grad_sq = float(psi @ psi)
-    lam = 1.0 / (1.0 + np.linalg.norm(psi))
-    while lam >= _MIN_STEP:
-        candidate = theta - lam * psi
+def _norms(psi: np.ndarray) -> np.ndarray:
+    return np.sqrt((psi * psi).sum(axis=1))
+
+
+def _backtrack(kernels, trial, theta, direction, lam, searching, use_risk, accept):
+    """Per-row step halving from theta along -direction: each row in
+    ``searching`` tries theta - lam * direction, halving its own lam, until
+    ``accept(psi, risk, lam)`` holds for it or lam falls below the minimum
+    step.  Every trial evaluates the whole block at ``trial``, whose other
+    rows keep their last point, so the kernels end on each row's last trial.
+    Returns (found, psi, risk), the last two valid on the found rows;
+    ``trial`` holds their points."""
+    found = psi_new = risk_new = None
+    searching = searching & (lam >= _MIN_STEP)
+    while searching.any():
+        rows = slice(None) if searching.all() else searching
+        trial[rows] = theta[rows] - lam[rows, None] * direction[rows]
+        psi, risk = _psi_risk(kernels, trial, use_risk)
+        ok = searching & accept(psi, risk, lam)
+        if found is None:
+            found, psi_new, risk_new = ok, psi, risk
+        else:
+            psi_new[ok], risk_new[ok] = psi[ok], risk[ok]
+            found |= ok
+        if ok.all():
+            break
+        searching &= ~ok
+        lam = np.where(searching, 0.5 * lam, lam)
+        searching &= lam >= _MIN_STEP
+    if found is None:
+        return np.zeros(len(theta), dtype=bool), None, None
+    return found, psi_new, risk_new
+
+
+def _gradient_search(kernels, trial, theta, psi, risk, searching):
+    """Armijo backtracking along -psi, the risk's descent direction, for the
+    rows whose Newton direction points uphill in the risk (an indefinite
+    Jacobian near saddles of a nonlinear least-squares surface)."""
+    grad_sq = (psi * psi).sum(axis=1)
+
+    def accept(psi_new, risk_new, lam):
+        return (np.isfinite(psi_new).all(axis=1) & np.isfinite(risk_new)
+                & (risk_new <= risk - 1e-4 * lam * grad_sq))
+
+    return _backtrack(kernels, trial, theta, psi, 1.0 / (1.0 + _norms(psi)), searching,
+                      True, accept)
+
+
+def _newton_steps(jac, psi, active, stop) -> np.ndarray:
+    """J^-1 Psi_hat of the active rows by one batched solve; if that meets a
+    singular Jacobian, row by row with a ridge retry.  Rows that still fail
+    are stopped."""
+    try:
+        if active.all():
+            return np.linalg.solve(jac, psi[:, :, None])[:, :, 0]
+        step = np.zeros_like(psi)
+        step[active] = np.linalg.solve(jac[active], psi[active, :, None])[:, :, 0]
+        return step
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(psi)
+        for r in active.nonzero()[0]:
+            try:
+                step[r] = np.linalg.solve(jac[r], psi[r])
+            except np.linalg.LinAlgError:
+                try:
+                    step[r] = np.linalg.solve(_ridge(jac[r]), psi[r])
+                except np.linalg.LinAlgError:
+                    stop(r, "Jacobian singular even after ridge regularization")
+    return step
+
+
+def _newton(kernels, theta, psi, risk, use_risk, active, tol, max_iter, theta_cap):
+    """The damped Newton search of :func:`solve` on a block of R problems.
+
+    theta, psi (R, p) and risk (R,) are the starting points and their
+    values; rows outside the ``active`` mask are left where they are.  Each
+    row keeps its own step length, acceptance tests, gradient fallback,
+    ridge retry, divergence stop, iteration count and message; a Jacobian
+    that raises NumericalError stops every active row.  Returns (theta, psi,
+    iterations, messages, diverged).
+    """
+    theta, psi, risk, active = theta.copy(), psi.copy(), risk.copy(), active.copy()
+    n_rows = len(theta)
+    iterations = np.full(n_rows, max_iter)
+    messages = [""] * n_rows
+    diverged = np.zeros(n_rows, dtype=bool)
+    last = theta  # the block's last evaluated point; theta on the active rows
+    full_step = np.ones(n_rows)
+    it = 0
+
+    def stop(r, message):
+        active[r], iterations[r], messages[r] = False, it, message
+
+    def stop_all(rows, message):
+        for r in rows.nonzero()[0] if rows.any() else ():
+            stop(r, message(r))
+
+    for it in range(1, max_iter + 1):
+        done = active & (np.abs(psi).max(axis=1) <= tol)
+        if done.any():
+            iterations[done] = it - 1
+            active &= ~done
+        if not active.any():
+            break
         try:
-            psi_new, risk_new = _psi_risk(kernels, candidate, True)
-        except NumericalError:
-            lam *= 0.5
-            continue
-        if np.isfinite(risk_new) and risk_new <= risk - 1e-4 * lam * grad_sq:
-            return candidate, psi_new, risk_new
-        lam *= 0.5
-    return None
+            jac = _jacobian(kernels, last)
+        except NumericalError as exc:
+            stop_all(active.copy(), lambda r: f"Jacobian evaluation failed: {exc}")
+            break
+        step = _newton_steps(jac, psi, active, stop)
+        if not np.isfinite(step).all():
+            stop_all(active & ~np.isfinite(step).all(axis=1),
+                     lambda r: "Newton step is non-finite")
+        if not active.any():
+            break
+
+        norm = _norms(psi)
+        bound = risk + 1e-14 * (1 + np.abs(risk))
+
+        def accept(psi_new, risk_new, lam):
+            ok = _norms(psi_new) < norm
+            return ok & np.isfinite(risk_new) & (risk_new <= bound) if use_risk else ok
+
+        trial = theta.copy()
+        found, psi_new, risk_new = _backtrack(kernels, trial, theta, step, full_step,
+                                              active, use_risk, accept)
+        if found.all():
+            theta, psi, risk = trial, psi_new, risk_new
+        else:
+            lost = active & ~found
+            if use_risk and lost.any():
+                more, more_psi, more_risk = _gradient_search(kernels, trial, theta, psi, risk,
+                                                             lost)
+                if more.any():
+                    psi_new[more], risk_new[more] = more_psi[more], more_risk[more]
+                    found = found | more
+                    lost &= ~more
+            stop_all(lost, lambda r: "line search failed to reduce the psi norm")
+            theta[found], psi[found], risk[found] = trial[found], psi_new[found], risk_new[found]
+        last = trial
+        over = np.abs(theta).max(axis=1) > theta_cap
+        if over.any():
+            over &= found
+            diverged |= over
+            stop_all(over, lambda r: (
+                f"diverging theta: max |theta_k| = {np.max(np.abs(theta[r])):.3g} "
+                f"exceeds the cap {theta_cap:.3g}"
+            ))
+    else:
+        for r in active.nonzero()[0]:
+            messages[r] = (
+                f"no convergence in {max_iter} iterations "
+                f"(|theta| = {np.linalg.norm(theta[r]):.3g}, possible divergence)"
+            )
+    return theta, psi, iterations, messages, diverged
+
+
+def _zfit(d: Dataset, theta, psi, iterations, message, diverged, jac, tol) -> ZFit:
+    psi_norm = float(np.max(np.abs(psi)))
+    converged = psi_norm <= tol and not diverged
+    return ZFit(
+        theta_hat=theta,
+        converged=converged,
+        iterations=int(iterations),
+        psi_norm=psi_norm,
+        jac_at_root=jac,
+        n_units=d.n,
+        message="" if converged else message,
+    )
+
+
+def _wants_sandwich(d: Dataset, fit: ZFit) -> bool:
+    return (fit.converged and d.n1 >= 2 and d.n0 >= 2
+            and bool(np.isfinite(fit.jac_at_root).all()))
 
 
 def solve(
@@ -186,7 +380,8 @@ def solve(
     raises: the returned fit has ``converged=False`` and a diagnostic
     message.  Steps and trials evaluate the kernels of ``f``, built once on
     the dataset's arm plan, psi and risk together; a kernel may keep a
-    trial's evaluation for the Jacobian at the point accepted.
+    trial's evaluation for the Jacobian at the point accepted.  This is the
+    one-dataset case of the block search ``_solve_block`` runs.
 
     ``theta_cap`` flags divergence: iterates whose max-norm exceeds it stop
     the search as non-converged.  Scores that only saturate (separated
@@ -206,91 +401,63 @@ def solve(
         raise NumericalError("theta0 contains non-finite entries")
 
     psi = empirical_psi(d, f, theta)  # raises NumericalError if non-finite
-    use_risk = f.has_loss
-    risk = empirical_risk(d, f, theta) if use_risk else np.inf
-    kernels = _arm_kernels(d, f, True)
-    message = ""
-    iterations = 0
-    diverged = False
-
-    for iterations in range(1, max_iter + 1):
-        if np.max(np.abs(psi)) <= tol:
-            iterations -= 1
-            break
-        try:
-            jac = _jacobian(kernels, theta)
-        except NumericalError as exc:
-            message = f"Jacobian evaluation failed: {exc}"
-            break
-        try:
-            step = np.linalg.solve(jac, psi)
-        except np.linalg.LinAlgError:
-            try:
-                step = np.linalg.solve(_ridge(jac), psi)
-            except np.linalg.LinAlgError:
-                message = "Jacobian singular even after ridge regularization"
-                break
-        if not np.isfinite(step).all():
-            message = "Newton step is non-finite"
-            break
-
-        found = None
-        lam = 1.0
-        psi_norm = np.linalg.norm(psi)
-        while lam >= _MIN_STEP:
-            candidate = theta - lam * step
-            try:
-                psi_new, risk_new = _psi_risk(kernels, candidate, use_risk)
-            except NumericalError:
-                lam *= 0.5
-                continue
-            ok = np.linalg.norm(psi_new) < psi_norm
-            if ok and use_risk:
-                ok = np.isfinite(risk_new) and risk_new <= risk + 1e-14 * (1 + abs(risk))
-            if ok:
-                found = candidate, psi_new, risk_new
-                break
-            lam *= 0.5
-        if found is None and use_risk:
-            found = _gradient_search(kernels, theta, psi, risk)
-        if found is None:
-            message = "line search failed to reduce the psi norm"
-            break
-        theta, psi, risk = found
-        if np.max(np.abs(theta)) > theta_cap:
-            diverged = True
-            message = (
-                f"diverging theta: max |theta_k| = {np.max(np.abs(theta)):.3g} "
-                f"exceeds the cap {theta_cap:.3g}"
-            )
-            break
-    else:
-        message = (
-            f"no convergence in {max_iter} iterations "
-            f"(|theta| = {np.linalg.norm(theta):.3g}, possible divergence)"
-        )
-
-    psi_norm = float(np.max(np.abs(psi)))
-    converged = psi_norm <= tol and not diverged
+    risk = empirical_risk(d, f, theta) if f.has_loss else np.inf
+    theta, psi, iterations, messages, diverged = _newton(
+        _arm_kernels([d], f, True), theta[None], psi[None], np.array([risk]), f.has_loss,
+        np.ones(1, dtype=bool), tol, max_iter, theta_cap,
+    )
     try:
-        jac_at_root = empirical_jacobian(d, f, theta)
+        jac_at_root = empirical_jacobian(d, f, theta[0])
     except NumericalError:
         jac_at_root = np.full((f.dim, f.dim), np.nan)
-    fit = ZFit(
-        theta_hat=theta,
-        converged=converged,
-        iterations=iterations,
-        psi_norm=psi_norm,
-        jac_at_root=jac_at_root,
-        n_units=d.n,
-        message="" if converged else message,
-    )
-    if (
-        converged and compute_sandwich and d.n1 >= 2 and d.n0 >= 2
-        and np.isfinite(jac_at_root).all()
-    ):
+    fit = _zfit(d, theta[0], psi[0], iterations[0], messages[0], diverged[0], jac_at_root, tol)
+    if compute_sandwich and _wants_sandwich(d, fit):
         fit.sigma_hat = sandwich(d, f, fit)
     return fit
+
+
+def _solve_block(
+    datasets,
+    f: EstimatingFunction,
+    theta0,
+    *,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    theta_cap: float = 1e3,
+) -> list:
+    """:func:`solve` with its sandwich on each of R datasets with equal arm
+    sizes, as one block search.
+
+    ``theta0`` is (R, p), one start per dataset.  Starts, the Jacobian at
+    the root and the sandwich are read from the block kernels of ``f``.
+    Returns, per dataset, its :class:`ZFit` or the error :func:`solve`
+    would raise on it; a dataset's result does not depend on the others.
+    """
+    theta = np.array(theta0, dtype=float)
+    kernels = _arm_kernels(datasets, f, True)
+    psi, risk = _psi_risk(kernels, theta, f.has_loss)
+    errors = _score_errors(kernels, theta, psi)
+    for r in np.flatnonzero(~np.isfinite(theta).all(axis=1)):
+        errors[r] = NumericalError("theta0 contains non-finite entries")
+    theta, psi, iterations, messages, diverged = _newton(
+        kernels, theta, psi, risk, f.has_loss, np.array([e is None for e in errors]),
+        tol, max_iter, theta_cap,
+    )
+    jac = _jacobian(kernels, theta)
+    fits = [
+        error if error is not None else _zfit(d, theta[r].copy(), psi[r], iterations[r],
+                                              messages[r], diverged[r], jac[r], tol)
+        for r, (d, error) in enumerate(zip(datasets, errors))
+    ]
+    wanted = [r for r, fit in enumerate(fits)
+              if isinstance(fit, ZFit) and _wants_sandwich(datasets[r], fit)]
+    if wanted:
+        for r, sigma in zip(wanted, _sandwiches(jac[wanted], _meat(kernels, theta)[wanted])):
+            if isinstance(sigma, Exception):
+                fits[r] = sigma
+            else:
+                fits[r].sigma_hat = sigma
+    return fits
 
 
 def _describe_null_directions(jac: np.ndarray) -> str:
@@ -302,6 +469,46 @@ def _describe_null_directions(jac: np.ndarray) -> str:
         if sing[k] <= cutoff
     ]
     return "; ".join(flat) if flat else "no usable directions"
+
+
+def _meat(kernels, theta: np.ndarray) -> np.ndarray:
+    """r1 Cov^1 + r0 Cov^0 of the per-unit scores at each row of theta,
+    (R, p, p), with per-arm divisor n_z - 1."""
+    meat = 0.0
+    for _, kernel, block in kernels:
+        scores = kernel.scores(theta)
+        centered = scores - scores.mean(axis=1, keepdims=True)
+        cov = centered.transpose(0, 2, 1) @ centered / (scores.shape[1] - 1)
+        meat = meat + block[0].share * cov
+    return meat
+
+
+def _sandwich(jac: np.ndarray, meat: np.ndarray) -> np.ndarray:
+    """J^-1 meat J^-T, symmetrized, of (R, p, p) stacks; LinAlgError if any
+    J is singular."""
+    half = np.linalg.solve(jac, meat)
+    sigma = np.linalg.solve(jac, half.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return 0.5 * (sigma + sigma.transpose(0, 2, 1))
+
+
+def _sandwiches(jac: np.ndarray, meat: np.ndarray) -> list:
+    """Per slice, the sandwich or the NumericalError naming the null
+    directions of its singular bread; one batched solve unless one slice is
+    singular."""
+    try:
+        return list(_sandwich(jac, meat))
+    except np.linalg.LinAlgError:
+        pass
+    out = []
+    for k in range(len(jac)):
+        try:
+            out.append(_sandwich(jac[k:k + 1], meat[k:k + 1])[0])
+        except np.linalg.LinAlgError:
+            out.append(NumericalError(
+                "bread matrix is singular; rank-deficient in: "
+                + _describe_null_directions(jac[k])
+            ))
+    return out
 
 
 def sandwich(d: Dataset, f: EstimatingFunction, fit: ZFit) -> np.ndarray:
@@ -316,19 +523,11 @@ def sandwich(d: Dataset, f: EstimatingFunction, fit: ZFit) -> np.ndarray:
         raise DegenerateInputError(
             f"sandwich needs >= 2 units per arm, got n1={d.n1}, n0={d.n0}"
         )
-    (k1, rows1), (k0, rows0) = _arm_kernels(d, f, True)
-    meat = rows1.share * fp_cov_matrix(k1.scores(fit.theta_hat)) + \
-        rows0.share * fp_cov_matrix(k0.scores(fit.theta_hat))
-    jac = fit.jac_at_root
-    try:
-        half = np.linalg.solve(jac, meat)
-        sigma = np.linalg.solve(jac, half.T).T
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            "bread matrix is singular; rank-deficient in: "
-            + _describe_null_directions(jac)
-        ) from None
-    return 0.5 * (sigma + sigma.T)
+    meat = _meat(_arm_kernels([d], f, True), fit.theta_hat[None])
+    [sigma] = _sandwiches(fit.jac_at_root[None], meat)
+    if isinstance(sigma, Exception):
+        raise sigma from None
+    return sigma
 
 
 @dataclass(eq=False)

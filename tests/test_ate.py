@@ -11,7 +11,7 @@ from randzest.ate import IDENTITY, LOG, LOGIT, _intercept_start
 from randzest.errors import ConvergenceError, DomainError, SpecificationError
 from randzest.estfun import ModelConfig
 
-from test_estfun import fd_gradient
+from test_estfun import fd_gradient, stable_seed
 
 
 def _count_dataset(seed=11, n=120):
@@ -106,7 +106,7 @@ class TestImputedEqualsAssisted:
         from conftest import make_glm_dataset
 
         d, spec = make_glm_dataset(
-            seed=hash((family, interaction)) % 2**31, family=family,
+            seed=stable_seed(family, interaction), family=family,
             interaction=interaction,
         )
         fit = rz.fit_working_model(d, spec)

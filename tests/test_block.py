@@ -1,0 +1,174 @@
+"""The block Newton search: one loop for one dataset or many.
+
+``run_study`` fits each maximum-likelihood working model once per block of
+replications.  A dataset's fit must not depend on the block it is fitted in,
+must agree with :func:`randzest.solve` on that dataset, and a failure inside a
+block must reach only its own replication.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import randzest as rz
+from randzest import ate, simlab, zestim
+from randzest.errors import NumericalError
+from randzest.estfun import ModelConfig
+from randzest.simlab import EstimatorConfig, Scenario
+
+TABLE_A1_MLE_MODELS = [
+    ModelConfig("poisson", False),
+    ModelConfig("poisson", True),
+    ModelConfig("negbin", True),  # per-replication moment kappa
+    ModelConfig("gaussian", False),
+    ModelConfig("gaussian", True),
+]
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _table_a1_block(reps=simlab._BLOCK):
+    s = simlab.load_scenario(simlab.bundled_scenario_path("table_a1"))
+    pot = simlab.gen_population(s, rz.make_rng(s.seed, 0))
+    return [rz.observe(pot, rz.draw_assignment(rz.make_rng(s.seed, r + 1), s.n, s.n1))
+            for r in range(reps)]
+
+
+@pytest.fixture(scope="module")
+def table_a1_block():
+    return _table_a1_block()
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestBlockAgreesWithSolve:
+    def test_roster_fits_the_five_table_a1_models(self):
+        s = simlab.load_scenario(simlab.bundled_scenario_path("table_a1"))
+        assert simlab._mle_models(s.estimators) == TABLE_A1_MLE_MODELS
+
+    @pytest.mark.parametrize("model", TABLE_A1_MLE_MODELS, ids=str)
+    def test_each_replication_equals_its_own_solve(self, table_a1_block, model):
+        specs = [model.bind(d) for d in table_a1_block]
+        for d, spec, fit in zip(table_a1_block, specs,
+                                ate.fit_working_models(table_a1_block, specs)):
+            ref = rz.fit_working_model(d, spec)
+            assert (fit.iterations, fit.converged, fit.message) == \
+                (ref.iterations, ref.converged, ref.message)
+            assert _rel(fit.theta_hat, ref.theta_hat) < 1e-12
+            assert _rel(fit.sigma_hat, ref.sigma_hat) < 1e-12
+
+    @pytest.mark.parametrize("model", TABLE_A1_MLE_MODELS[1:3], ids=str)
+    def test_fit_does_not_depend_on_the_block(self, table_a1_block, model):
+        specs = [model.bind(d) for d in table_a1_block]
+        whole = ate.fit_working_models(table_a1_block, specs)
+        for lo, hi in ((0, 1), (3, 10), (9, 16)):
+            part = ate.fit_working_models(table_a1_block[lo:hi], specs[lo:hi])
+            for a, b in zip(whole[lo:hi], part):
+                assert np.array_equal(a.theta_hat, b.theta_hat)
+                assert np.array_equal(a.sigma_hat, b.sigma_hat)
+                assert a.iterations == b.iterations
+
+    @pytest.mark.parametrize("kwargs,word", [
+        (dict(max_iter=2), "no convergence in 2 iterations"),
+        (dict(theta_cap=0.5), "diverging theta"),
+    ])
+    def test_stopped_rows_keep_their_own_state(self, table_a1_block, kwargs, word):
+        # different datasets stop at different iterations with their own
+        # messages, as solve does on each alone
+        spec = ModelConfig("poisson", True).bind(table_a1_block[0])
+        f = rz.glm_score_estfun(spec)
+        theta0 = np.zeros((len(table_a1_block), spec.dim))
+        theta0[:, 0] = 0.1 * np.arange(len(table_a1_block))
+        fits = zestim._solve_block(table_a1_block, f, theta0, **kwargs)
+        for d, start, fit in zip(table_a1_block, theta0, fits):
+            ref = rz.solve(d, f, start, **kwargs)
+            assert not fit.converged and word in fit.message
+            assert (fit.iterations, fit.message) == (ref.iterations, ref.message)
+            assert _rel(fit.theta_hat, ref.theta_hat) < 1e-12
+
+
+def _nan_scenario(**overrides):
+    """Counts with one unit whose treated outcome is missing: every
+    replication that treats it fails at the start of its fits."""
+
+    def generate(gen):
+        x = gen.standard_normal((40, 1))
+        y0 = gen.poisson(np.exp(1.0 + 0.3 * x[:, 0])).astype(float)
+        y1 = y0 + gen.poisson(2.0, 40)
+        y1[7] = np.nan
+        return rz.PotentialTable(y1, y0, x)
+
+    base = dict(
+        dgp="custom", n=40, n1=20, seed=11, replications=24, g="log",
+        custom_generator=generate,
+        estimators=(
+            EstimatorConfig(kind="b", model=ModelConfig("poisson", True)),
+            EstimatorConfig(kind="ma", model=ModelConfig("negbin", True)),
+            EstimatorConfig(kind="ma", model=ModelConfig("poisson", True),
+                            method="squared-loss"),
+            EstimatorConfig(kind="unadjusted"),
+        ),
+    )
+    base.update(overrides)
+    return Scenario(**base)
+
+
+class TestBlockFailure:
+    def test_a_failing_replication_fails_alone(self, monkeypatch):
+        s = _nan_scenario()
+        with pytest.warns(RuntimeWarning, match="failed in"):
+            blocked = simlab.run_study(s)
+        monkeypatch.setattr(simlab, "_BLOCK", 1)
+        with pytest.warns(RuntimeWarning, match="failed in"):
+            alone = simlab.run_study(s)
+        # the missing outcome leaves the truth, so bias and coverage, nan
+        np.testing.assert_equal([dataclasses.asdict(row) for row in blocked.rows],
+                                [dataclasses.asdict(row) for row in alone.rows])
+        failures = {row.failures for row in blocked.rows}
+        assert len(failures) == 1 and 0 < failures.pop() < s.replications
+
+    def test_error_class_and_message_match_the_solve(self):
+        s = _nan_scenario()
+        pot = simlab.gen_population(s, rz.make_rng(s.seed, 0))
+        block = [rz.observe(pot, rz.draw_assignment(rz.make_rng(s.seed, r + 1), s.n, s.n1))
+                 for r in range(simlab._BLOCK)]
+        models = simlab._mle_models(s.estimators)
+        caches = [{} for _ in block]
+        simlab._fit_block(block, models, caches)
+        treated = [bool(d.z[7]) for d in block]
+        assert any(treated) and not all(treated)
+        for d, cache, bad in zip(block, caches, treated):
+            for model in models:
+                got = _raised(lambda: simlab._fit(d, model, "mle", cache))
+                want = _raised(lambda: simlab._fit(d, model, "mle", {}))
+                assert got == want
+                assert (got is not None) == bad
+                if bad:
+                    assert got[0] is NumericalError and "unit index(es) [7]" in got[1]
+                else:
+                    fit = cache[("mle", model)][1]
+                    ref = simlab._fit(d, model, "mle", {})[1]
+                    assert fit.iterations == ref.iterations
+                    assert _rel(fit.theta_hat, ref.theta_hat) < 1e-12
+
+
+class TestBlockSizeInvariance:
+    @pytest.mark.parametrize("name", ["table_a1", "table_a2"])
+    @pytest.mark.parametrize("seed", [26, 3])
+    def test_tables_equal_for_every_block_size(self, monkeypatch, name, seed):
+        s = dataclasses.replace(simlab.load_scenario(simlab.bundled_scenario_path(name)),
+                                seed=seed)
+        tables = []
+        for size in (1, 7, 20):
+            monkeypatch.setattr(simlab, "_BLOCK", size)
+            tables.append(simlab.run_study(s, replications=200))
+        assert tables[0] == tables[1] == tables[2]

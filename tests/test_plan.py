@@ -101,19 +101,20 @@ class TestPlanKernels:
     def test_kernels_equal_raw_row_kernels(self, case):
         d, f, theta, n_columns = case()
         for arm in (1, 0):
-            planned = f.kernel(arm, d.plan.arm(arm))
+            planned = f.kernel(arm, [d.plan.arm(arm)])
             raw_rows = _raw_rows(d, arm, n_columns)
-            raw = f.kernel(arm, raw_rows)
-            psi, risk = planned.mean(theta, True)
-            raw_psi, raw_risk = raw.mean(theta, True)
-            assert np.array_equal(psi, raw_psi) and risk == raw_risk
-            assert np.array_equal(planned.jacobian(theta), raw.jacobian(theta))
-            scores = planned.scores(theta)
-            assert np.array_equal(scores, raw.scores(theta))
+            raw = f.kernel(arm, [raw_rows])
+            block = theta[None]  # a block of one dataset
+            psi, risk = planned.mean(block, True)
+            raw_psi, raw_risk = raw.mean(block, True)
+            assert np.array_equal(psi, raw_psi) and np.array_equal(risk, raw_risk)
+            assert np.array_equal(planned.jacobian(block), raw.jacobian(block))
+            scores = planned.scores(block)
+            assert np.array_equal(scores, raw.scores(block))
             per_unit = f.psi1 if arm == 1 else f.psi0
-            assert np.array_equal(scores, per_unit(raw_rows.y, raw_rows.x, theta))
+            assert np.array_equal(scores[0], per_unit(raw_rows.y, raw_rows.x, theta))
             losses = (f.loss1 if arm == 1 else f.loss0)(raw_rows.y, raw_rows.x, theta)
-            assert risk == np.mean(losses)
+            assert risk[0] == np.mean(losses)
 
     def test_sandwich_on_fused_kernels_equals_per_unit_sandwich(self, case):
         d, f, theta, _ = case()

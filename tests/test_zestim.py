@@ -96,13 +96,14 @@ def _check_kernel_matches_per_unit(d, f, theta):
     Gram Jacobian."""
     treated = d.arm_mask(1)
     control = ~treated
-    kernels = [(d.r1, f.kernel(1, d.plan.treated)), (d.r0, f.kernel(0, d.plan.control))]
+    kernels = [(d.r1, f.kernel(1, [d.plan.treated])), (d.r0, f.kernel(0, [d.plan.control]))]
     tensors = d.r1 * f.jac1(d.y[treated], d.x[treated], theta).mean(axis=0) \
         + d.r0 * f.jac0(d.y[control], d.x[control], theta).mean(axis=0)
-    gram = sum(share * k.jacobian(theta) for share, k in kernels)
+    block = theta[None]  # a block of one dataset
+    gram = sum(share * k.jacobian(block)[0] for share, k in kernels)
     assert rel_err(gram, tensors) < 1e-12
-    psi = sum(share * k.mean(theta, True)[0] for share, k in kernels)
-    risk = sum(share * k.mean(theta, True)[1] for share, k in kernels)
+    psi = sum(share * k.mean(block, True)[0][0] for share, k in kernels)
+    risk = sum(share * k.mean(block, True)[1][0] for share, k in kernels)
     assert rel_err(psi, rz.empirical_psi(d, f, theta)) < 1e-12
     assert risk == pytest.approx(rz.empirical_risk(d, f, theta), rel=1e-12)
     return gram
@@ -269,9 +270,9 @@ class TestSolverPaths:
     def test_jacobian_after_a_trial_equals_a_fresh_one(self, rng, family, method, interaction):
         d, spec = _glm_data(rng, family, interaction)
         f = _estfun(method, spec)
-        first, last = (0.2 * rng.standard_normal(spec.dim) for _ in range(2))
+        first, last = (0.2 * rng.standard_normal((1, spec.dim)) for _ in range(2))
         for arm in (1, 0):
-            rows = d.plan.arm(arm)
+            rows = [d.plan.arm(arm)]
             k = f.kernel(arm, rows)
             k.mean(first, True)
             k.mean(last, True)
