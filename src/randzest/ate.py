@@ -18,11 +18,9 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConvergenceError, DomainError, SpecificationError
 from .estfun import (
@@ -37,7 +35,7 @@ from .estfun import (
     squared_loss_estfun,
 )
 from .finitepop import Dataset, group_moments
-from .zestim import ZFit, _solve_block, solve
+from .zestim import ZFit, _normal_critical, _solve_block, solve
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,6 @@ def _require_domain(g: GScale, values: np.ndarray, what: str) -> None:
         )
 
 
-@lru_cache(maxsize=64)
-def _normal_quantile(alpha: float) -> float:
-    """The two-sided normal critical value z_{1 - alpha/2}."""
-    return float(stats.norm.ppf(1.0 - alpha / 2.0))
-
-
 @dataclass(eq=False)
 class AteResult:
     """Point estimate plus the variance of its sqrt(N)-scaled version."""
@@ -114,9 +106,7 @@ class AteResult:
         return float(np.sqrt(self.variance_hat / self.n_units))
 
     def ci(self, alpha: float = 0.05) -> tuple[float, float]:
-        if not 0.0 < alpha < 1.0:
-            raise SpecificationError(f"alpha must be in (0, 1), got {alpha}")
-        half = _normal_quantile(alpha) * self.se()
+        half = _normal_critical(alpha) * self.se()
         return self.tau_hat - half, self.tau_hat + half
 
     def to_document(self, alpha: float = 0.05) -> dict:

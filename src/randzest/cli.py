@@ -32,6 +32,7 @@ from .simlab import (
     load_scenario,
     run_study,
 )
+from .zestim import _normal_critical
 
 DATA_ERROR = 2
 SOLVER_ERROR = 3
@@ -174,10 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "alpha", 0.05) <= 0 or getattr(args, "alpha", 0.05) >= 1:
-        print("error: alpha must be in (0, 1)", file=sys.stderr)
-        return DATA_ERROR
     try:
+        if hasattr(args, "alpha"):
+            _normal_critical(args.alpha)  # a bad alpha fails before any fit
         return args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

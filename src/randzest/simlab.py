@@ -48,6 +48,7 @@ from .errors import (
 )
 from .estfun import GAUSSIAN, ModelConfig
 from .finitepop import Dataset, PotentialTable, draw_assignment, enumerate_assignments, make_rng, observe
+from .zestim import _normal_critical
 
 _FAMILY_DISPLAY = {
     "poisson": "Pois",
@@ -122,8 +123,7 @@ class Scenario:
     def __post_init__(self):
         if not 1 <= self.n1 <= self.n - 1:
             raise SpecificationError(f"need 1 <= n1 <= N-1, got n1={self.n1}, N={self.n}")
-        if not 0.0 < self.alpha < 1.0:
-            raise SpecificationError(f"alpha must be in (0, 1), got {self.alpha}")
+        _normal_critical(self.alpha)  # raises on an alpha no interval can use
         if not self.estimators:
             raise SpecificationError("scenario needs a non-empty estimator roster")
         if self.dgp not in ("heterogeneous", "null", "custom"):

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     ConvergenceError,
@@ -554,18 +554,26 @@ class WaldSet:
         return float(self.intervals[0, 0]), float(self.intervals[0, 1])
 
 
+def _normal_critical(alpha: float) -> float:
+    """The two-sided normal critical value z_{1 - alpha/2}, taken from the
+    lower tail so that a tiny alpha is not rounded away in 1 - alpha/2."""
+    if not 0.0 < alpha / 2.0 < 0.5:
+        raise SpecificationError(f"alpha must be in (0, 1) with alpha/2 > 0, got {alpha}")
+    return -NormalDist().inv_cdf(alpha / 2.0)
+
+
 def wald_set(fit: ZFit, v, alpha: float = 0.05) -> WaldSet:
     """Asymptotic 1-alpha confidence set for the contrasts v^T theta.
 
     ``v`` is a p-vector or (p, m) matrix of full column rank.  The set is
     the quadratic form { w : N (v't - w)' (v'Sv)^-1 (v't - w) <= chi2 }.
     Per-coordinate intervals use the marginal normal quantile and coincide
-    with the set itself when m = 1.
+    with the set itself when m = 1.  This is the only function of the
+    package that imports scipy, for the chi-square quantile.
     """
     if fit.sigma_hat is None:
         raise ConvergenceError("fit has no sandwich covariance")
-    if not 0.0 < alpha < 1.0:
-        raise SpecificationError(f"alpha must be in (0, 1), got {alpha}")
+    zq = _normal_critical(alpha)
     v = np.asarray(v, dtype=float)
     if v.ndim == 1:
         v = v.reshape(-1, 1)
@@ -576,8 +584,8 @@ def wald_set(fit: ZFit, v, alpha: float = 0.05) -> WaldSet:
         raise SpecificationError("contrast matrix is rank deficient")
     estimate = v.T @ fit.theta_hat
     cov = v.T @ fit.sigma_hat @ v / fit.n_units
-    crit = float(stats.chi2.ppf(1.0 - alpha, df=m))
-    zq = float(stats.norm.ppf(1.0 - alpha / 2.0))
+    from scipy import stats  # imported here to keep scipy off the import path
+    crit = float(stats.chi2.isf(alpha, df=m))
     half = zq * np.sqrt(np.clip(np.diag(cov), 0.0, None))
     intervals = np.column_stack([estimate - half, estimate + half])
     return WaldSet(

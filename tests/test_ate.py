@@ -288,6 +288,24 @@ class TestConfidenceIntervals:
         assert doc["se"] == pytest.approx(np.sqrt(2.0 / 80))
         assert doc["ci_low"] < 0.4 < doc["ci_high"]
 
+    @pytest.mark.parametrize("alpha", [1e-10, 1e-17, 1e-300])
+    def test_tiny_alpha_gives_finite_interval(self, alpha):
+        # 1 - alpha/2 rounds to 1.0 below alpha ~ 1e-16; the critical value
+        # must come from the lower tail, where alpha/2 is exact
+        from scipy import stats
+
+        r = rz.AteResult(0.0, 1.0, "A", "identity", 100)
+        lo, hi = r.ci(alpha)
+        z = -stats.norm.ppf(alpha / 2.0)
+        assert np.isfinite([lo, hi]).all()
+        assert hi == pytest.approx(0.1 * z, rel=1e-14)
+        assert lo == pytest.approx(-0.1 * z, rel=1e-14)
+
+    def test_alpha_whose_half_underflows_is_rejected(self):
+        r = rz.AteResult(0.0, 1.0, "A", "identity", 100)
+        with pytest.raises(SpecificationError, match="alpha"):
+            r.ci(5e-324)
+
 
 class TestInterceptStart:
     """fit_working_model starts at the intercept-only root."""

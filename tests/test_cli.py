@@ -1,6 +1,10 @@
 """Command-line surface: exit codes, documents, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,68 @@ class TestEstimate:
             "--alpha", "1.5",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("alpha", ["1e-10", "1e-17", "1e-300"])
+    def test_tiny_alpha_writes_finite_json(self, tmp_path, capsys, alpha):
+        from scipy import stats
+
+        csv_path = tmp_path / "d.csv"
+        write_count_csv(csv_path)
+        code = main([
+            "estimate", "--input", str(csv_path), "--estimator", "unadjusted",
+            "--alpha", alpha,
+        ])
+        assert code == 0
+
+        def reject(name):
+            raise AssertionError(f"non-JSON constant {name}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        half = -stats.norm.ppf(float(alpha) / 2.0) * doc["se"]
+        assert doc["ci_low"] == pytest.approx(doc["tau_hat"] - half, rel=1e-14)
+        assert doc["ci_high"] == pytest.approx(doc["tau_hat"] + half, rel=1e-14)
+
+    def test_alpha_whose_half_underflows_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        write_count_csv(csv_path)
+        code = main([
+            "estimate", "--input", str(csv_path), "--estimator", "unadjusted",
+            "--alpha", "5e-324",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha" in captured.err
+
+
+def test_no_scipy_on_the_import_path(tmp_path):
+    """Import, a CLI estimate and a study load numpy but not scipy."""
+    csv_path = tmp_path / "d.csv"
+    write_count_csv(csv_path)
+    script = f"""
+import sys
+import numpy as np
+import randzest as rz
+import randzest.cli
+from randzest.estfun import ModelConfig
+
+assert randzest.cli.main(["estimate", "--input", {str(csv_path)!r}, "--estimator", "ma",
+                          "--model", "poisson:interact", "--g", "log"]) == 0
+rz.run_study(rz.Scenario(
+    dgp="null", n=60, n1=30, g="log", seed=5, replications=2,
+    estimators=(rz.EstimatorConfig(kind="unadjusted"),
+                rz.EstimatorConfig(kind="ma", model=ModelConfig("poisson", True))),
+))
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not loaded, loaded
+fit = rz.ZFit(theta_hat=np.zeros(1), converged=True, iterations=1, psi_norm=0.0,
+              jac_at_root=-np.eye(1), n_units=100, sigma_hat=np.eye(1))
+assert rz.wald_set(fit, np.array([1.0])).chi2_crit > 3.84
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(rz.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _model_text(model):

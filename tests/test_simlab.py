@@ -75,7 +75,7 @@ class TestGenPopulation:
         with pytest.raises(SpecificationError):
             _tiny_scenario(dgp="custom")
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan"), 5e-324])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(SpecificationError, match="alpha"):
             _tiny_scenario(alpha=alpha)

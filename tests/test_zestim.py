@@ -488,6 +488,54 @@ class TestWald:
                               (lo - 1e-6, False), (hi + 1e-6, False)]:
             assert ws.contains(point) is inside
 
+    def test_normal_critical_matches_scipy(self):
+        from fractions import Fraction
+
+        from scipy import stats
+
+        alphas = np.concatenate([np.geomspace(1e-6, 0.999, 401), np.linspace(1e-6, 0.999, 401)])
+        for alpha in alphas:
+            z = zestim._normal_critical(alpha)
+            assert z == pytest.approx(-stats.norm.ppf(alpha / 2.0), rel=2e-15)
+            # the upper-tail reference rounds its own argument 1 - alpha/2,
+            # which near alpha = 1 moves z by far more than 2e-15; compare
+            # with it where that argument is exact, and within the rounding
+            # bound elsewhere
+            upper = stats.norm.ppf(1.0 - alpha / 2.0)
+            if Fraction(1) - Fraction(alpha) / 2 == Fraction(1.0 - alpha / 2.0):
+                assert z == pytest.approx(upper, rel=2e-15)
+            else:
+                slack = np.spacing(1.0 - alpha / 2.0) / stats.norm.pdf(z)
+                assert abs(z - upper) <= 2e-15 * z + slack
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_chi2_crit_matches_scipy(self, m, alpha):
+        from scipy import stats
+
+        fit = rz.ZFit(
+            theta_hat=np.zeros(m), converged=True, iterations=1, psi_norm=0.0,
+            jac_at_root=-np.eye(m), n_units=100, sigma_hat=np.eye(m),
+        )
+        ws = rz.wald_set(fit, np.eye(m), alpha=alpha)
+        assert ws.chi2_crit == pytest.approx(stats.chi2.ppf(1.0 - alpha, m), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1e-10, 1e-17, 1e-300])
+    def test_tiny_alpha_gives_finite_set(self, alpha):
+        from scipy import stats
+
+        ws = rz.wald_set(self._unit_fit(), np.array([1.0]), alpha=alpha)
+        lo, hi = ws.interval
+        z = -stats.norm.ppf(alpha / 2.0)
+        assert np.isfinite([lo, hi, ws.chi2_crit]).all()
+        assert hi == pytest.approx(0.1 * z, rel=1e-14)
+        assert lo == pytest.approx(-0.1 * z, rel=1e-14)
+        assert ws.chi2_crit == pytest.approx(stats.chi2.isf(alpha, 1), rel=1e-14)
+
+    def test_alpha_whose_half_underflows_is_rejected(self):
+        with pytest.raises(SpecificationError, match="alpha"):
+            rz.wald_set(self._unit_fit(), np.array([1.0]), alpha=5e-324)
+
     def test_rank_deficient_contrast(self):
         fit = rz.ZFit(
             theta_hat=np.zeros(2), converged=True, iterations=1, psi_norm=0.0,
