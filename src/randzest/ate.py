@@ -283,16 +283,16 @@ def _intercept_start(d: Dataset, spec: MeanSpec) -> np.ndarray:
     return theta if np.isfinite(theta).all() else np.zeros(spec.dim)
 
 
-def fit_working_model(d: Dataset, spec: MeanSpec, theta0=None) -> ZFit:
-    """Maximum-likelihood fit of a working GLM via Z-estimation.
-
-    Without ``theta0`` the Newton search starts at the intercept-only root
-    (each arm's intercept the link of its outcome mean, slopes 0), or at
-    zeros where that root is not finite.
+def fit_working_model(d: Dataset, spec: MeanSpec) -> ZFit:
+    """Maximum-likelihood fit of a working GLM: :func:`fit_working_models`
+    on a block of one, raising the error it returns.  The Newton search
+    starts at the intercept-only root (each arm's intercept the link of its
+    outcome mean, slopes 0), or at zeros where that root is not finite.
     """
-    if theta0 is None:
-        theta0 = _intercept_start(d, spec)
-    return solve(d, glm_score_estfun(spec), theta0)
+    [fit] = fit_working_models([d], [spec])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def _block_spec(specs: Sequence[MeanSpec]) -> MeanSpec:
@@ -306,11 +306,11 @@ def _block_spec(specs: Sequence[MeanSpec]) -> MeanSpec:
 
 
 def fit_working_models(datasets: Sequence[Dataset], specs: Sequence[MeanSpec]) -> list:
-    """:func:`fit_working_model` of each dataset's spec, as one block solve.
+    """Maximum-likelihood fits of each dataset's spec, as one block solve.
 
     The datasets share their arm sizes and the specs one model, bound to
     each dataset (negbin dispersions may differ).  Returns, per dataset, its
-    fit or the error :func:`fit_working_model` would raise on it.
+    fit or the error its search raised, independent of the block.
     """
     theta0 = [_intercept_start(d, spec) for d, spec in zip(datasets, specs)]
     return _solve_block(datasets, glm_score_estfun(_block_spec(specs)), theta0)
@@ -322,18 +322,17 @@ def fit_optimal_adjustment(d: Dataset, spec: MeanSpec, theta0=None) -> ZFit:
     Minimizing the empirical squared-error risk per arm minimizes the
     estimated model-assisted variance over all parameter values sharing the
     adjustment form.  Without ``theta0``, nonlinear mean forms start from
-    the canonical fit with the same mean function (itself started at the
-    intercept-only root, as in :func:`fit_working_model`), which keeps the
-    Newton search inside the basin of the least-squares root; a linear mean,
-    or a canonical fit that does not converge, starts at zeros.
+    the canonical fit with the same mean function (:func:`fit_working_model`),
+    which keeps the Newton search inside the basin of the least-squares root;
+    a linear mean, or a canonical fit that fails or does not converge, starts
+    at zeros.
     """
     estfun = squared_loss_estfun(spec)  # raises if parameters are shared
     if theta0 is None and spec.family.kind != GAUSSIAN:
         warm_family = poisson_family() if spec.family.kind != BINOMIAL else spec.family
         warm = MeanSpec(warm_family, True, spec.n_covariates)
-        prefit = solve(d, glm_score_estfun(warm), _intercept_start(d, warm),
-                       compute_sandwich=False)
-        if prefit.converged:
+        [prefit] = fit_working_models([d], [warm])
+        if isinstance(prefit, ZFit) and prefit.converged:
             theta0 = prefit.theta_hat
     return solve(d, estfun, theta0)
 

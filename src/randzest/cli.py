@@ -29,6 +29,7 @@ from .simlab import (
     EstimatorConfig,
     build_estimator,
     exact_randomization_distribution,
+    fit_tables,
     load_scenario,
     run_study,
 )
@@ -95,7 +96,10 @@ def cmd_estimate(args) -> int:
         _emit(json.dumps(doc, indent=2), args.output)
         return 0
 
-    result = build_estimator(_estimator_config(args), gscale(args.g))(d, {})
+    config = _estimator_config(args)
+    estimate = build_estimator(config, gscale(args.g))
+    [fits] = fit_tables([d], [config])
+    result = estimate(d, fits)
     _emit(json.dumps(result.to_document(args.alpha), indent=2), args.output)
     return 0
 

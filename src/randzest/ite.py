@@ -64,16 +64,15 @@ def pseudo_effects_adjusted(
 class EdfTauModel:
     """Effect working model with natural parameter t = x~'theta.
 
-    ``u`` is the normalizer and ``u_dt``/``u_dt2`` its first two derivatives
-    in t, each mapping an (n,) vector of t values to per-unit values.
-    ``dim`` counts the columns of x~, intercept included, so the model uses
-    the first dim - 1 covariate columns of the data it is given.
+    ``forms`` maps an (n,) vector of t values to the per-unit values of the
+    normalizer u and of its first two derivatives in t, ``(u, u', u'')``,
+    from one evaluation.  ``dim`` counts the columns of x~, intercept
+    included, so the model uses the first dim - 1 covariate columns of the
+    data it is given.
     """
 
     dim: int
-    u: Callable[[np.ndarray], np.ndarray]
-    u_dt: Callable[[np.ndarray], np.ndarray]
-    u_dt2: Callable[[np.ndarray], np.ndarray]
+    forms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     description: str = ""
 
 
@@ -86,10 +85,11 @@ def ite_estfun(model: EdfTauModel, r1: float) -> EstimatingFunction:
     scale = {1: 1.0 / r1, 0: -1.0 / (1.0 - r1)}  # s_z(y) = scale[z] * y
 
     def score(y, t, arm):
-        return model.u_dt(t) - scale[arm] * y
+        return model.forms(t)[1] - scale[arm] * y
 
     def evaluate(y, t, arm):
-        return score(y, t, arm), model.u_dt2(t), model.u(t) - scale[arm] * y * t
+        u, u_dt, u_dt2 = model.forms(t)
+        return u_dt - scale[arm] * y, u_dt2, u - scale[arm] * y * t
 
     slots = np.arange(model.dim)
     return _design_estfun(model.dim, model.dim - 1, {1: slots, 0: slots}, score, evaluate)
@@ -114,7 +114,7 @@ def normal_linear_model(n_columns: int) -> EdfTauModel:
     internally, so dim = n_columns + 1.
     """
     return EdfTauModel(
-        dim=n_columns + 1, u=lambda t: 0.5 * t**2, u_dt=lambda t: t, u_dt2=np.ones_like,
+        dim=n_columns + 1, forms=lambda t: (0.5 * t**2, t, np.ones_like(t)),
         description="normal-linear",
     )
 
@@ -164,26 +164,13 @@ def ternary_model(n_columns: int, gamma: float) -> EdfTauModel:
     if not (np.isfinite(gamma) and gamma > 0):
         raise SpecificationError(f"gamma must be finite and positive, got {gamma}")
 
-    def _exps(t):
+    def forms(t):
         t = np.clip(t, -35.0, 35.0)
         ep, em = np.exp(t), np.exp(-t)
-        return ep, em, ep + em + gamma
+        denom = ep + em + gamma
+        return np.log(denom), (ep - em) / denom, (gamma * (ep + em) + 4.0) / denom**2
 
-    def u(t):
-        return np.log(_exps(t)[2])
-
-    def u_dt(t):
-        ep, em, denom = _exps(t)
-        return (ep - em) / denom
-
-    def u_dt2(t):
-        ep, em, denom = _exps(t)
-        return (gamma * (ep + em) + 4.0) / denom**2
-
-    return EdfTauModel(
-        dim=n_columns + 1, u=u, u_dt=u_dt, u_dt2=u_dt2,
-        description=f"ternary(gamma={gamma})",
-    )
+    return EdfTauModel(dim=n_columns + 1, forms=forms, description=f"ternary(gamma={gamma})")
 
 
 @dataclass(eq=False)

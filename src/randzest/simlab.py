@@ -30,7 +30,6 @@ from .ate import (
     GScale,
     adjusted_imputation,
     fit_optimal_adjustment,
-    fit_working_model,
     fit_working_models,
     gscale,
     mean_adjustment,
@@ -46,7 +45,7 @@ from .errors import (
     RandzestError,
     SpecificationError,
 )
-from .estfun import GAUSSIAN, ModelConfig
+from .estfun import ModelConfig
 from .finitepop import Dataset, PotentialTable, draw_assignment, enumerate_assignments, make_rng, observe
 from .zestim import _normal_critical
 
@@ -75,14 +74,14 @@ class EstimatorConfig:
     "squared-loss": model-imputed estimation is consistent only for the
     maximum-likelihood fit.  ``imputations`` configures the first stage of
     the adjusted-imputation estimator (kind ai) as ``(ModelConfig, method)``
-    pairs.
+    pairs.  Every row estimates on its scenario's scale ``g``, the scale of
+    the truth it is scored against.
     """
 
     kind: str  # b | i | ma | ai | unadjusted
     model: Optional[ModelConfig] = None
     method: str = "mle"
     imputations: tuple = ()
-    g: Optional[str] = None  # overrides the scenario scale
     model_label: Optional[str] = None
     interaction_label: Optional[str] = None
     estimation_label: Optional[str] = None
@@ -163,10 +162,11 @@ def gen_population(s: Scenario, rng: np.random.Generator) -> PotentialTable:
 
 
 # ---------------------------------------------------------------------------
-# Estimator construction with a per-replication fit cache
+# Fit tables and estimators that read them
 # ---------------------------------------------------------------------------
 
 _METHODS = ("mle", "squared-loss")
+_FAILURE_KINDS = (RandzestError, np.linalg.LinAlgError, FloatingPointError)
 
 
 def _check_method(model: ModelConfig, method: str) -> None:
@@ -179,17 +179,37 @@ def _check_method(model: ModelConfig, method: str) -> None:
         )
 
 
-def _fit_model(model: ModelConfig, method: str) -> ModelConfig:
-    """The model a fit of ``model`` by ``method`` is made and cached under."""
-    if method == "squared-loss" and model.family_name == "negbin":
-        # Poisson and negbin share the exponential mean form.
-        return ModelConfig("poisson", model.interaction)
-    return model
+def _reads(config: EstimatorConfig) -> list[tuple[str, ModelConfig]]:
+    """The (method, model) keys of the fits an estimator reads, in order; a
+    squared-loss negbin fit is the Poisson one, of the same mean form."""
+    pairs = {"ai": config.imputations, "unadjusted": ()}.get(
+        config.kind, ((config.model, config.method),))
+    return [
+        (method, ModelConfig("poisson", model.interaction)
+         if method == "squared-loss" and model.family_name == "negbin" else model)
+        for model, method in pairs
+    ]
 
 
-def _checked(method: str, model: ModelConfig, spec, fit):
-    """The cache entry of a fit: (spec, fit), or the ConvergenceError of a
-    fit that did not converge."""
+def _fit_list(configs) -> dict:
+    """Every fit a roster reads, once, mapped to the key of the fit it starts
+    from: a squared-loss fit of a non-linear mean starts from the
+    maximum-likelihood fit of the same mean, listed before it; other fits
+    map to None."""
+    fits: dict = {}
+    for config in configs:
+        for method, model in _reads(config):
+            start = ("mle", model) if method != "mle" and model.family_name != "gaussian" else None
+            if start is not None:
+                fits.setdefault(start, None)
+            fits.setdefault((method, model), start)
+    return fits
+
+
+def _entry(method: str, model: ModelConfig, spec, fit):
+    """The table entry of a fit: (spec, fit), or the error reading it raises."""
+    if isinstance(fit, Exception):
+        return fit
     if not fit.converged:
         return ConvergenceError(
             f"{method} {model.family_name} fit did not converge after "
@@ -198,68 +218,49 @@ def _checked(method: str, model: ModelConfig, spec, fit):
     return spec, fit
 
 
-def _fit(d: Dataset, model: ModelConfig, method: str, cache: dict):
-    """(spec, fit) of a working model, shared through the per-dataset cache.
+def _squared_loss_fit(d: Dataset, spec, start):
+    """The squared-loss fit, or its error, started from the table entry
+    ``start`` if it is a converged fit, else from zeros."""
+    theta0 = start[1].theta_hat if isinstance(start, tuple) else np.zeros(spec.dim)
+    try:
+        return fit_optimal_adjustment(d, spec, theta0)
+    except _FAILURE_KINDS as exc:
+        return exc
 
-    A squared-loss fit of a non-linear mean starts from the maximum-likelihood
-    fit of the same mean form, which the cache usually holds already.  A
-    fit that did not converge is cached as its ConvergenceError, and a
-    cached error is raised again.
-    """
-    model = _fit_model(model, method)
-    key = (method, model)
-    if key not in cache:
-        spec = model.bind(d)
+
+def fit_tables(datasets: list, configs) -> list[dict]:
+    """Per dataset of a block with equal arm sizes, the table of the fits
+    the roster ``configs`` reads: (method, model) maps to (spec, fit), or to
+    the error of a fit that raised or did not converge.  Each
+    maximum-likelihood model is one block search over the datasets, each
+    squared-loss fit one ``fit_optimal_adjustment`` per dataset; a dataset's
+    table does not depend on the block."""
+    tables: list = [{} for _ in datasets]
+    for (method, model), start in _fit_list(configs).items():
+        specs = [model.bind(d) for d in datasets]
         if method == "mle":
-            fit = fit_working_model(d, spec)
+            results = fit_working_models(datasets, specs)
         else:
-            theta0 = None
-            if spec.family.kind != GAUSSIAN:
-                try:
-                    theta0 = _fit(d, model, "mle", cache)[1].theta_hat
-                except (RandzestError, np.linalg.LinAlgError):
-                    pass
-            fit = fit_optimal_adjustment(d, spec, theta0)
-        cache[key] = _checked(method, model, spec, fit)
-    entry = cache[key]
+            results = [_squared_loss_fit(d, spec, table.get(start))
+                       for d, spec, table in zip(datasets, specs, tables)]
+        for table, spec, fit in zip(tables, specs, results):
+            table[(method, model)] = _entry(method, model, spec, fit)
+    return tables
+
+
+def _read(table: dict, key):
+    entry = table[key]
     if isinstance(entry, Exception):
         raise entry
     return entry
 
 
-def _mle_models(configs) -> list[ModelConfig]:
-    """Every model a replication of the roster fits by maximum likelihood:
-    its own maximum-likelihood entries and the starts of its squared-loss
-    fits of non-linear means, each once."""
-    pairs = []
-    for config in configs:
-        if config.kind in ("b", "i", "ma"):
-            pairs.append((config.model, config.method))
-        elif config.kind == "ai":
-            pairs.extend(config.imputations)
-    out = []
-    for model, method in pairs:
-        model = _fit_model(model, method)
-        if (method == "mle" or model.family_name != "gaussian") and model not in out:
-            out.append(model)
-    return out
-
-
-def _fit_block(block: list, models: list, caches: list) -> None:
-    """Put every maximum-likelihood fit of ``models`` on each dataset of the
-    block into that dataset's cache, one block solve per model."""
-    for model in models:
-        specs = [model.bind(d) for d in block]
-        for cache, spec, fit in zip(caches, specs, fit_working_models(block, specs)):
-            cache[("mle", model)] = fit if isinstance(fit, Exception) else \
-                _checked("mle", model, spec, fit)
-
-
 def build_estimator(
-    config: EstimatorConfig, default_g: GScale
+    config: EstimatorConfig, g: GScale
 ) -> Callable[[Dataset, dict], AteResult]:
-    """Compile a config into an ``estimate(dataset, cache)`` callable."""
-    g = gscale(config.g) if config.g else default_g
+    """Compile a config into an ``estimate(dataset, fits)`` callable on the
+    scale ``g`` that reads the dataset's :func:`fit_tables` table and raises
+    the error stored for a fit it reads."""
     kind, model, method = config.kind, config.model, config.method
     if kind not in _KIND_DISPLAY:
         raise SpecificationError(f"unknown estimator kind '{kind}'")
@@ -267,23 +268,23 @@ def build_estimator(
         raise SpecificationError(f"estimator kind '{kind}' takes method 'mle' only, got '{method}'")
 
     if kind == "unadjusted":
-        return lambda d, cache: tau_unadjusted(d, g)
+        return lambda d, fits: tau_unadjusted(d, g)
 
     if kind == "ai":
         if not config.imputations:
             raise SpecificationError("estimator kind 'ai' needs imputations")
         for imputation in config.imputations:
             _check_method(*imputation)
-        return lambda d, cache: adjusted_imputation(
-            d, [_fit(d, m, how, cache) for m, how in config.imputations], g
-        )
+        keys = _reads(config)
+        return lambda d, fits: adjusted_imputation(d, [_read(fits, key) for key in keys], g)
 
     if model is None:
         raise SpecificationError(f"estimator kind '{kind}' needs a model")
     _check_method(model, method)
+    [key] = _reads(config)
 
-    def estimate(d: Dataset, cache: dict) -> AteResult:
-        spec, fit = _fit(d, model, method, cache)
+    def estimate(d: Dataset, fits: dict) -> AteResult:
+        spec, fit = _read(fits, key)
         if kind == "b":
             return tau_model_based(d, spec, fit, g)
         if kind == "i":
@@ -345,7 +346,6 @@ class StudyTable:
         raise KeyError(f"no row with estimation='{estimation}', model={model!r}")
 
 
-_FAILURE_KINDS = (RandzestError, np.linalg.LinAlgError, FloatingPointError)
 _BLOCK = 16  # replications whose maximum-likelihood fits are one block solve
 
 
@@ -356,14 +356,13 @@ def run_study(
 ) -> StudyTable:
     """Run the full Monte Carlo study for one scenario.
 
+    The truth and every estimator use the scenario's scale ``g``.
     Replications run in blocks of 16.  Each block draws and observes its
-    assignments, fits every maximum-likelihood working model its roster
-    needs once for the whole block (one block Newton search per model, see
-    :func:`randzest.ate.fit_working_models`), puts each replication's fit,
-    or the error its own fit would raise, in that replication's fit cache,
-    and then runs the estimators replication by replication.  A dataset's
-    fit does not depend on the block it is fitted in, so the table is
-    bit-identical for every block size.
+    assignments and builds their fit tables (:func:`fit_tables`: one block
+    Newton search per maximum-likelihood model, one squared-loss fit per
+    replication); the estimators then read each replication's table.  A
+    dataset's table does not depend on the block it is fitted in, so the
+    study table is bit-identical for every block size.
 
     Failed replications (non-convergence, scale-domain violations, singular
     fits) are excluded from that estimator's aggregates and counted; a
@@ -384,20 +383,16 @@ def run_study(
     covered = np.zeros((n_est, reps), dtype=bool)
     failed = np.zeros((n_est, reps), dtype=bool)
 
-    mle_models = _mle_models(s.estimators)
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for first in range(0, reps, _BLOCK):
             block_reps = range(first, min(first + _BLOCK, reps))
             block = [observe(pot, draw_assignment(make_rng(s.seed, stream=rep + 1), s.n, s.n1))
                      for rep in block_reps]
-            caches: list = [{} for _ in block]
-            _fit_block(block, mle_models, caches)
-            for rep, data, cache in zip(block_reps, block, caches):
+            for rep, data, table in zip(block_reps, block, fit_tables(block, s.estimators)):
                 for j, estimate in enumerate(estimators):
                     try:
-                        result = estimate(data, cache)
+                        result = estimate(data, table)
                         lo, hi = result.ci(s.alpha)
                     except _FAILURE_KINDS:
                         failed[j, rep] = True
@@ -516,6 +511,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     f"estimators[{j}]: unknown 'kind' {e['kind']!r}; "
                     f"use one of {sorted(_KIND_DISPLAY)}"
                 )
+            if "g" in e:
+                raise DataError(f"estimators[{j}]: key 'g' ({e['g']!r}) is not allowed; "
+                                "every row estimates on the top-level 'g'")
             model, method = _model_from_dict(f"estimators[{j}]", e, imputation=False)
             config = EstimatorConfig(
                 kind=e["kind"],
@@ -525,7 +523,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     _model_from_dict(f"estimators[{j}].imputations[{k}]", imp, imputation=True)
                     for k, imp in enumerate(e.get("imputations", ()))
                 ),
-                g=e.get("g"),
                 model_label=e.get("model"),
                 interaction_label=e.get("interaction_label"),
                 estimation_label=e.get("estimation"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import randzest as rz
+from randzest import zestim
 from randzest.ate import IDENTITY, LOG, LOGIT, _intercept_start
 from randzest.errors import ConvergenceError, DomainError, SpecificationError
 from randzest.estfun import ModelConfig
@@ -339,7 +340,8 @@ class TestInterceptStart:
         y = np.where(d.z == 1, arm_y, d.y)  # link(arm mean) is infinite
         d = rz.Dataset(d.assignment, y, d.x)
         assert np.array_equal(_intercept_start(d, spec), np.zeros(spec.dim))
-        fit, zero_start = rz.fit_working_model(d, spec), rz.solve(d, rz.glm_score_estfun(spec))
+        fit = rz.fit_working_model(d, spec)
+        [zero_start] = zestim._solve_block([d], rz.glm_score_estfun(spec), [np.zeros(spec.dim)])
         assert np.array_equal(fit.theta_hat, zero_start.theta_hat)
         assert (fit.converged, fit.iterations, fit.message) == \
             (zero_start.converged, zero_start.iterations, zero_start.message)

@@ -1,9 +1,10 @@
 """The block Newton search: one loop for one dataset or many.
 
-``run_study`` fits each maximum-likelihood working model once per block of
-replications.  A dataset's fit must not depend on the block it is fitted in,
-must agree with :func:`randzest.solve` on that dataset, and a failure inside a
-block must reach only its own replication.
+``run_study`` and ``randzest estimate`` build fit tables, fitting each
+maximum-likelihood working model once per block of replications (a block of
+one for the CLI).  A dataset's fit must not depend on the block it is fitted
+in, must agree with :func:`randzest.solve` on that dataset, and a failure
+inside a block must reach only its own replication.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import pytest
 
 import randzest as rz
 from randzest import ate, simlab, zestim
+from randzest.ate import _intercept_start
 from randzest.errors import NumericalError
 from randzest.estfun import ModelConfig
 from randzest.simlab import EstimatorConfig, Scenario
@@ -52,15 +54,21 @@ def _raised(call):
 
 class TestBlockAgreesWithSolve:
     def test_roster_fits_the_five_table_a1_models(self):
+        # the five maximum-likelihood models and the squared-loss fit, which
+        # starts from the Poisson-interaction one, listed after it
         s = simlab.load_scenario(simlab.bundled_scenario_path("table_a1"))
-        assert simlab._mle_models(s.estimators) == TABLE_A1_MLE_MODELS
+        fits = simlab._fit_list(s.estimators)
+        start = ("mle", ModelConfig("poisson", True))
+        assert fits == {**{("mle", model): None for model in TABLE_A1_MLE_MODELS},
+                        ("squared-loss", ModelConfig("poisson", True)): start}
+        assert list(fits).index(start) < list(fits).index(("squared-loss", start[1]))
 
     @pytest.mark.parametrize("model", TABLE_A1_MLE_MODELS, ids=str)
     def test_each_replication_equals_its_own_solve(self, table_a1_block, model):
         specs = [model.bind(d) for d in table_a1_block]
         for d, spec, fit in zip(table_a1_block, specs,
                                 ate.fit_working_models(table_a1_block, specs)):
-            ref = rz.fit_working_model(d, spec)
+            ref = rz.solve(d, rz.glm_score_estfun(spec), _intercept_start(d, spec))
             assert (fit.iterations, fit.converged, fit.message) == \
                 (ref.iterations, ref.converged, ref.message)
             assert _rel(fit.theta_hat, ref.theta_hat) < 1e-12
@@ -136,27 +144,31 @@ class TestBlockFailure:
         failures = {row.failures for row in blocked.rows}
         assert len(failures) == 1 and 0 < failures.pop() < s.replications
 
-    def test_error_class_and_message_match_the_solve(self):
+    @pytest.mark.parametrize("size", [simlab._BLOCK, 1])
+    def test_error_class_and_message_match_the_solve(self, size):
         s = _nan_scenario()
         pot = simlab.gen_population(s, rz.make_rng(s.seed, 0))
         block = [rz.observe(pot, rz.draw_assignment(rz.make_rng(s.seed, r + 1), s.n, s.n1))
                  for r in range(simlab._BLOCK)]
-        models = simlab._mle_models(s.estimators)
-        caches = [{} for _ in block]
-        simlab._fit_block(block, models, caches)
+        tables = [table for lo in range(0, len(block), size)
+                  for table in simlab.fit_tables(block[lo:lo + size], s.estimators)]
         treated = [bool(d.z[7]) for d in block]
         assert any(treated) and not all(treated)
-        for d, cache, bad in zip(block, caches, treated):
-            for model in models:
-                got = _raised(lambda: simlab._fit(d, model, "mle", cache))
-                want = _raised(lambda: simlab._fit(d, model, "mle", {}))
-                assert got == want
+        for d, table, bad in zip(block, tables, treated):
+            for (method, model), entry in table.items():
+                spec = model.bind(d)
+                if method == "mle":
+                    f, start = rz.glm_score_estfun(spec), _intercept_start(d, spec)
+                else:  # started from the maximum-likelihood fit of its mean
+                    f, start = rz.squared_loss_estfun(spec), table[("mle", model)]
+                    start = start[1].theta_hat if isinstance(start, tuple) else None
+                got = (type(entry), str(entry)) if isinstance(entry, Exception) else None
+                assert got == _raised(lambda: rz.solve(d, f, start))
                 assert (got is not None) == bad
                 if bad:
                     assert got[0] is NumericalError and "unit index(es) [7]" in got[1]
                 else:
-                    fit = cache[("mle", model)][1]
-                    ref = simlab._fit(d, model, "mle", {})[1]
+                    fit, ref = entry[1], rz.solve(d, f, start)
                     assert fit.iterations == ref.iterations
                     assert _rel(fit.theta_hat, ref.theta_hat) < 1e-12
 

@@ -139,7 +139,8 @@ class TestEstimate:
             ("mle", ["--imputation", "poisson:interact@mle", "--method", "squared-loss"]),
         ]:
             config = simlab.EstimatorConfig(kind="ai", imputations=((model, method),))
-            expected = simlab.build_estimator(config, rz.LOG)(d, {})
+            [fits] = simlab.fit_tables([d], [config])
+            expected = simlab.build_estimator(config, rz.LOG)(d, fits)
             argv = ["estimate", "--input", str(csv_path), "--estimator", "ai", "--g", "log",
                     "--output", str(out)] + model_options
             assert main(argv) == 0, argv
@@ -283,6 +284,16 @@ def _model_text(model):
     return text if model.kappa is None else f"{text}:kappa={model.kappa!r}"
 
 
+def _write_replication(path, d):
+    """Write a table_a1 replication as an ``estimate`` CSV, floats by repr."""
+    rows = ["z,y,x1,x2"] + [
+        f"{zi},{yi!r},{xi[0]!r},{xi[1]!r}"
+        for zi, yi, xi in zip(d.z.tolist(), d.y.tolist(), d.x.tolist())
+    ]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
 def _estimate_argv(config):
     """The ``estimate`` options of a study row."""
     if config.kind == "unadjusted":
@@ -301,16 +312,45 @@ class TestCliEqualsStudy:
         s = simlab.load_scenario(simlab.bundled_scenario_path("table_a1"))
         pot = simlab.gen_population(s, rz.make_rng(s.seed, 0))
         d = rz.observe(pot, rz.draw_assignment(rz.make_rng(s.seed, 1), s.n, s.n1))
-        csv_path = tmp_path / "rep.csv"
-        rows = ["z,y,x1,x2"] + [
-            f"{zi},{yi!r},{xi[0]!r},{xi[1]!r}"
-            for zi, yi, xi in zip(d.z.tolist(), d.y.tolist(), d.x.tolist())
-        ]
-        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        csv_path = _write_replication(tmp_path / "rep.csv", d)
         out = tmp_path / "res.json"
+        [fits] = simlab.fit_tables([d], s.estimators)
         for config in s.estimators:
-            expected = simlab.build_estimator(config, rz.LOG)(d, {})
-            argv = ["estimate", "--input", str(csv_path), "--g", "log",
+            expected = simlab.build_estimator(config, rz.LOG)(d, fits)
+            argv = ["estimate", "--input", csv_path, "--g", "log",
+                    "--output", str(out)] + _estimate_argv(config)
+            assert main(argv) == 0, argv
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert doc["tau_hat"] == expected.tau_hat, argv
+            assert doc["se"] == expected.se(), argv
+
+    def test_first_study_block(self, tmp_path, monkeypatch):
+        # each estimate of the study's first block of replications, read from
+        # the fit tables run_study builds for the whole block, equals the CLI
+        # on that replication alone
+        s = simlab.load_scenario(simlab.bundled_scenario_path("table_a1"))
+        seen = []
+        real_build = simlab.build_estimator
+
+        def build(config, g):
+            estimate = real_build(config, g)
+
+            def recording(d, fits):
+                result = estimate(d, fits)
+                seen.append((config, d, result))
+                return result
+
+            return recording
+
+        monkeypatch.setattr(simlab, "build_estimator", build)
+        simlab.run_study(s, replications=simlab._BLOCK)
+        assert len(seen) == simlab._BLOCK * len(s.estimators)
+        out = tmp_path / "res.json"
+        paths: dict = {}
+        for config, d, expected in seen:
+            if id(d) not in paths:
+                paths[id(d)] = _write_replication(tmp_path / f"rep{len(paths)}.csv", d)
+            argv = ["estimate", "--input", paths[id(d)], "--g", "log",
                     "--output", str(out)] + _estimate_argv(config)
             assert main(argv) == 0, argv
             doc = json.loads(out.read_text(encoding="utf-8"))

@@ -259,7 +259,8 @@ class TestFusedEvaluation:
         for arm, s in ((1, 1.0 / d.r1), (0, -1.0 / d.r0)):
             k = f.kernel(arm, [d.plan.arm(arm)])
             t = k.design @ theta
-            expected = (tau.u_dt(t) - s * k.y, tau.u_dt2(t), tau.u(t) - s * k.y * t)
+            u, u_dt, u_dt2 = tau.forms(t)
+            expected = (u_dt - s * k.y, u_dt2, u - s * k.y * t)
             _assert_same_bits(k.evaluate(k.y, t, arm), expected)
             _assert_same_bits([k.score(k.y, t, arm)], expected[:1])
 

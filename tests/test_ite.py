@@ -69,7 +69,7 @@ class TestIteEstfun:
         for _ in range(5):
             theta = rng.standard_normal(3)
             direct = np.mean(
-                (model.u_dt(design @ theta) - tau_hat)[:, None] * design, axis=0
+                (model.forms(design @ theta)[1] - tau_hat)[:, None] * design, axis=0
             )
             np.testing.assert_allclose(
                 rz.empirical_psi(d, f, theta), direct, atol=1e-12
@@ -92,15 +92,14 @@ class TestIteEstfun:
         tau = y1 - y0
         design = np.column_stack([np.ones(6), x])
         expected = np.mean(
-            (model.u_dt(design @ theta) - tau)[:, None] * design, axis=0
+            (model.forms(design @ theta)[1] - tau)[:, None] * design, axis=0
         )
         np.testing.assert_allclose(acc / count, expected, atol=1e-12)
 
     def test_zero_model_gives_zero_psi(self, rng):
         # u = 0 leaves only the pseudo-effect term, so the intercept-only
         # model (dim 1) has psi = -mean(tau_hat_i) for every theta
-        model = rz.EdfTauModel(dim=1, u=np.zeros_like, u_dt=np.zeros_like,
-                               u_dt2=np.zeros_like)
+        model = rz.EdfTauModel(dim=1, forms=lambda t: (np.zeros_like(t),) * 3)
         d, _ = _experiment()
         f = rz.ite_estfun(model, d.r1)
         expected = [-np.mean(rz.pseudo_effects(d))]
@@ -133,8 +132,9 @@ class TestIteEstfun:
             t = np.column_stack([np.ones(3), d.x[:3]]) @ theta
             # u and its derivatives act unit by unit, so the finite-difference
             # Jacobian in t is diagonal
-            assert rel_err(model.u_dt(t), fd_jacobian(model.u, t).diagonal()) < 1e-6
-            assert rel_err(model.u_dt2(t), fd_jacobian(model.u_dt, t).diagonal()) < 1e-6
+            _, u_dt, u_dt2 = model.forms(t)
+            assert rel_err(u_dt, fd_jacobian(lambda s: model.forms(s)[0], t).diagonal()) < 1e-6
+            assert rel_err(u_dt2, fd_jacobian(lambda s: model.forms(s)[1], t).diagonal()) < 1e-6
 
 
 class TestNormalLinear:

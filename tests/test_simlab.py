@@ -111,7 +111,7 @@ class TestRunStudy:
     def test_failed_replications_excluded_and_warned(self, monkeypatch):
         calls = {"n": 0}
 
-        def flaky(d, cache):
+        def flaky(d, fits):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
                 raise rz.ConvergenceError("deliberate failure")
@@ -132,23 +132,42 @@ class TestRunStudy:
         assert row.replications_used == 6
 
     def test_table_a1_replication_solves_each_model_once(self, monkeypatch):
-        # six distinct working models: Poisson with and without interaction,
-        # negbin, the squared-loss Poisson mean, and the two linear fits
+        # six distinct working models: five block searches (Poisson with and
+        # without interaction, negbin, and the two linear fits) and one solve
+        # of the squared-loss Poisson mean
         s = simlab.load_scenario(simlab.bundled_scenario_path("table_a1"))
         pot = simlab.gen_population(s, rz.make_rng(s.seed, 0))
         d = rz.observe(pot, rz.draw_assignment(rz.make_rng(s.seed, 1), s.n, s.n1))
-        calls = {"n": 0}
-        real_solve = ate.solve
+        calls = {"_solve_block": 0, "solve": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(ate, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-        def counting_solve(*args, **kwargs):
-            calls["n"] += 1
-            return real_solve(*args, **kwargs)
-
-        monkeypatch.setattr(ate, "solve", counting_solve)
-        cache: dict = {}
+            monkeypatch.setattr(ate, name, counting)
+        [fits] = simlab.fit_tables([d], s.estimators)
         for config in s.estimators:
-            simlab.build_estimator(config, rz.LOG)(d, cache)
-        assert calls["n"] == 6
+            simlab.build_estimator(config, rz.LOG)(d, fits)
+        assert calls == {"_solve_block": 5, "solve": 1}
+
+    @pytest.mark.parametrize("family", ["poisson", "negbin", "binomial", "gaussian"])
+    def test_squared_loss_entry_equals_fit_optimal_adjustment(self, family):
+        # the table starts a squared-loss fit as fit_optimal_adjustment does,
+        # also when the roster fits the same model by maximum likelihood
+        from conftest import make_glm_dataset
+
+        d, _ = make_glm_dataset(23, "poisson" if family == "negbin" else family, True)
+        model = ModelConfig(family, True)
+        roster = [EstimatorConfig(kind="ma", model=model),
+                  EstimatorConfig(kind="ma", model=model, method="squared-loss")]
+        [fits] = simlab.fit_tables([d], roster)
+        [(_, fit)] = [entry for (method, _), entry in fits.items() if method == "squared-loss"]
+        ref = rz.fit_optimal_adjustment(d, model.bind(d))
+        assert fit.converged and fit.iterations > 0
+        assert (fit.converged, fit.iterations, fit.message) == \
+            (ref.converged, ref.iterations, ref.message)
+        assert np.array_equal(fit.theta_hat, ref.theta_hat)
+        assert np.array_equal(fit.sigma_hat, ref.sigma_hat)
 
     def test_requires_two_replications(self):
         with pytest.raises(SpecificationError):
@@ -282,6 +301,18 @@ class TestScenarioFiles:
             "estimators": [{"kind": "unadjusted"}, entry],
         }
         with pytest.raises(DataError, match=where):
+            scenario_from_dict(doc)
+
+    def test_entry_scale_is_rejected(self):
+        # the truth is on the scenario's scale, so a row on another scale
+        # would be scored against the wrong estimand (an unbiased identity-
+        # scale estimator read sqrt_n_bias 220 and coverage 0 here)
+        doc = {
+            "dgp": "heterogeneous", "N": 200, "n1": 100, "seed": 3, "replications": 200,
+            "g": "log",
+            "estimators": [{"kind": "unadjusted"}, {"kind": "unadjusted", "g": "identity"}],
+        }
+        with pytest.raises(DataError, match=r"estimators\[1\]: key 'g' \('identity'\)"):
             scenario_from_dict(doc)
 
     def test_imputation_entries_parse_to_models(self):
