@@ -54,7 +54,6 @@ from .finitepop import (
     draw_assignment,
     enumerate_assignments,
     fp_cov,
-    fp_cov_matrix,
     fp_mean,
     fp_var,
     group_mean,

@@ -1,12 +1,13 @@
 """Average-treatment-effect estimation on a g-scale.
 
-Three estimator families share the same fitted working models:
+Three estimator families read the fitted means h_z(x_i; theta) of working models:
 
 * model-based: average of per-unit fitted contrasts, biased in general;
 * model-imputed: plug the averaged imputations into g, consistent only for
   canonical maximum-likelihood fits;
 * model-assisted: compare arm averages of mean-preserving adjusted
-  outcomes, consistent for any adjustment function and any parameter value.
+  outcomes, consistent for any adjustment function and any parameter value;
+  with zero adjustment it is the unadjusted estimator.
 
 All variances here scale sqrt(N) * (estimator - estimand); confidence
 intervals divide by N.  Scale-domain violations raise rather than clamp, so
@@ -24,15 +25,14 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, SpecificationError
 from .estfun import (
-    BINOMIAL,
-    GAUSSIAN,
     GlmFamily,
     MeanSpec,
+    ModelConfig,
     glm_mean,
     glm_score_estfun,
     leading_design,
-    poisson_family,
     squared_loss_estfun,
+    squared_loss_start,
 )
 from .finitepop import Dataset, group_moments
 from .zestim import ZFit, _normal_critical, _solve_block, solve
@@ -123,38 +123,48 @@ class AteResult:
 
 
 # ---------------------------------------------------------------------------
-# Model-based and model-imputed estimators (delta-method variance)
+# Fitted means; model-based and model-imputed estimators (delta-method variance)
 # ---------------------------------------------------------------------------
 
-def _delta_variance(d: Dataset, spec: MeanSpec, fit: ZFit, gdot1, gdot0) -> float:
+def _fitted(d: Dataset, spec: MeanSpec, theta) -> tuple:
+    """(design, (h1, dh1), (h0, dh0)): every unit's fitted mean h_z(x_i; theta)
+    under each arm's working model and its eta-derivative, from one
+    evaluation of the family per arm on ``design``, the leading columns of
+    the dataset's [1, x] that the model reads."""
+    design = leading_design(d.plan.design, spec.n_covariates)
+    forms1 = spec.family._mean_forms(design @ spec._coef(1, theta))
+    forms0 = spec.family._mean_forms(design @ spec._coef(0, theta))
+    return design, forms1[1:3], forms0[1:3]
+
+
+def _delta_variance(spec: MeanSpec, fit: ZFit, fitted: tuple, gdot1, gdot0) -> float:
     """Delta-method variance grad' Sigma grad of an effect E_1 - E_0.
 
-    E_z depends on theta only through the fitted means h_z(x_i), whose
-    linear predictors are design @ theta[indices(z)]; ``gdot_z`` is N times
-    dE_z / dh_z(x_i), per unit or one number for all units.  The chain rule
-    gives mean(gdot_z * mean_deta(eta_z) * design) in the indices(z) slots;
-    where the arms share slopes, their contributions add.
+    E_z depends on theta only through the fitted means h_z(x_i) of
+    ``fitted`` (:func:`_fitted` at the fit's theta), whose linear predictors
+    are design @ theta[indices(z)]; ``gdot_z`` is N times dE_z / dh_z(x_i),
+    per unit or one number for all units.  The chain rule gives
+    mean(gdot_z * dh_z * design) in the indices(z) slots; where the arms
+    share slopes, their contributions add.
     """
     if fit.sigma_hat is None:
         raise ConvergenceError("fit has no sandwich covariance for the delta method")
-    design = leading_design(d.plan.design, spec.n_covariates)
+    design, (_, dh1), (_, dh0) = fitted
     grad = np.zeros(spec.dim)
-    for arm, gdot in ((1, gdot1), (0, -gdot0)):
-        idx = spec.indices(arm)
-        dmean = spec.family.mean_deta(design @ fit.theta_hat[idx])
-        grad[idx] += np.mean((gdot * dmean)[:, None] * design, axis=0)
+    for arm, gdot, dmean in ((1, gdot1, dh1), (0, -gdot0, dh0)):
+        grad[spec.indices(arm)] += np.mean((gdot * dmean)[:, None] * design, axis=0)
     return max(float(grad @ fit.sigma_hat @ grad), 0.0)
 
 
 def tau_model_based(d: Dataset, spec: MeanSpec, fit: ZFit, g: GScale) -> AteResult:
     """Average of per-unit fitted contrasts g(h1(x)) - g(h0(x))."""
-    h1 = glm_mean(spec, 1, d.x, fit.theta_hat, design=d.plan.design)
-    h0 = glm_mean(spec, 0, d.x, fit.theta_hat, design=d.plan.design)
+    fitted = _fitted(d, spec, fit.theta_hat)
+    _, (h1, _), (h0, _) = fitted
     _require_domain(g, h1, "treated fitted means")
     _require_domain(g, h0, "control fitted means")
     return AteResult(
         tau_hat=float(np.mean(g.g(h1) - g.g(h0))),
-        variance_hat=_delta_variance(d, spec, fit, g.gdot(h1), g.gdot(h0)),
+        variance_hat=_delta_variance(spec, fit, fitted, g.gdot(h1), g.gdot(h0)),
         estimator_kind="B",
         g_scale=g.name,
         n_units=d.n,
@@ -164,13 +174,14 @@ def tau_model_based(d: Dataset, spec: MeanSpec, fit: ZFit, g: GScale) -> AteResu
 
 def tau_model_imputed(d: Dataset, spec: MeanSpec, fit: ZFit, g: GScale) -> AteResult:
     """Contrast of g applied to population-averaged imputations."""
-    m1 = float(np.mean(glm_mean(spec, 1, d.x, fit.theta_hat, design=d.plan.design)))
-    m0 = float(np.mean(glm_mean(spec, 0, d.x, fit.theta_hat, design=d.plan.design)))
+    fitted = _fitted(d, spec, fit.theta_hat)
+    _, (h1, _), (h0, _) = fitted
+    m1, m0 = float(np.mean(h1)), float(np.mean(h0))
     _require_domain(g, np.array([m1]), "treated imputation average")
     _require_domain(g, np.array([m0]), "control imputation average")
     return AteResult(
         tau_hat=float(g.g(m1) - g.g(m0)),
-        variance_hat=_delta_variance(d, spec, fit, g.gdot(m1), g.gdot(m0)),
+        variance_hat=_delta_variance(spec, fit, fitted, g.gdot(m1), g.gdot(m0)),
         estimator_kind="I",
         g_scale=g.name,
         n_units=d.n,
@@ -203,8 +214,15 @@ def _ma_from_values(
         d.y - adj1 + adj1.mean(),
         d.y - adj0 + adj0.mean(),
     )
-    mean1, var1 = group_moments(d, 1, adjusted)
-    mean0, var0 = group_moments(d, 0, adjusted)
+    return _from_moments(d, group_moments(d, 1, adjusted), group_moments(d, 0, adjusted),
+                         g, kind, fits)
+
+
+def _from_moments(d: Dataset, moments1, moments0, g: GScale, kind: str,
+                  fits: tuple[ZFit, ...]) -> AteResult:
+    """g(mean1) - g(mean0) from each arm's (mean, variance) of its adjusted
+    outcomes, with the conservative variance of the sqrt(N)-scaled effect."""
+    (mean1, var1), (mean0, var0) = moments1, moments0
     _require_domain(g, np.array([mean1]), "treated adjusted mean")
     _require_domain(g, np.array([mean0]), "control adjusted mean")
     tau = float(g.g(mean1) - g.g(mean0))
@@ -228,9 +246,6 @@ def tau_model_assisted(
     h0: Callable[[np.ndarray, np.ndarray], np.ndarray],
     theta,
     g: GScale,
-    *,
-    kind: str = "A",
-    fits: tuple[ZFit, ...] = (),
 ) -> AteResult:
     """Model-assisted estimator with adjustment functions h_z(x; theta).
 
@@ -241,34 +256,26 @@ def tau_model_assisted(
     theta = np.asarray(theta, dtype=float)
     return _ma_from_values(
         d, np.asarray(h1(d.x, theta), dtype=float),
-        np.asarray(h0(d.x, theta), dtype=float), g, kind, fits,
+        np.asarray(h0(d.x, theta), dtype=float), g, "A", (),
     )
 
 
-def mean_adjustment(spec: MeanSpec, design=None):
-    """Adjustment-function pair built from a working model's means.
-
-    ``design`` is the [1, x] of the covariate rows the pair will be
-    evaluated on, when the caller holds it (a dataset's ``plan.design``);
-    the pair then reads it in place of its x argument.
-    """
+def mean_adjustment(spec: MeanSpec):
+    """Adjustment-function pair built from a working model's means."""
 
     def h1(x, theta):
-        return glm_mean(spec, 1, x, theta, design=design)
+        return glm_mean(spec, 1, x, theta)
 
     def h0(x, theta):
-        return glm_mean(spec, 0, x, theta, design=design)
+        return glm_mean(spec, 0, x, theta)
 
     return h1, h0
 
 
 def tau_unadjusted(d: Dataset, g: GScale) -> AteResult:
-    """Difference of g(arm means): model-assisted with zero adjustment."""
-
-    def zero(x, theta):
-        return np.zeros(x.shape[0])
-
-    return tau_model_assisted(d, zero, zero, np.zeros(0), g, kind="unadjusted")
+    """Difference of g(arm means): model-assisted with zero adjustment, which
+    leaves each arm's outcome moments as they are."""
+    return _from_moments(d, group_moments(d, 1), group_moments(d, 0), g, "unadjusted", ())
 
 
 def _intercept_start(d: Dataset, spec: MeanSpec) -> np.ndarray:
@@ -319,18 +326,19 @@ def fit_working_models(datasets: Sequence[Dataset], specs: Sequence[MeanSpec]) -
 def fit_optimal_adjustment(d: Dataset, spec: MeanSpec, theta0=None) -> ZFit:
     """Per-arm squared-loss fit of the adjustment functions.
 
-    Minimizing the empirical squared-error risk per arm minimizes the
-    estimated model-assisted variance over all parameter values sharing the
-    adjustment form.  Without ``theta0``, nonlinear mean forms start from
-    the canonical fit with the same mean function (:func:`fit_working_model`),
-    which keeps the Newton search inside the basin of the least-squares root;
-    a linear mean, or a canonical fit that fails or does not converge, starts
-    at zeros.
+    Per arm the squared-error risk is the variance of y - h_z plus its
+    squared mean, and the estimated model-assisted variance is that variance
+    alone, so the fit minimizes it only where a free additive intercept per
+    arm zeroes the mean residual: for a linear mean, not for a log or logit
+    one.  Without ``theta0`` the search starts from the canonical fit of the
+    same mean (:func:`~randzest.estfun.squared_loss_start`), which keeps it
+    inside the basin of the least-squares root; a linear mean, or a
+    canonical fit that fails or does not converge, starts at zeros.
     """
     estfun = squared_loss_estfun(spec)  # raises if parameters are shared
-    if theta0 is None and spec.family.kind != GAUSSIAN:
-        warm_family = poisson_family() if spec.family.kind != BINOMIAL else spec.family
-        warm = MeanSpec(warm_family, True, spec.n_covariates)
+    start = squared_loss_start(spec.family.name)
+    if theta0 is None and start is not None:
+        warm = ModelConfig(start, True).build(spec.n_covariates)
         [prefit] = fit_working_models([d], [warm])
         if isinstance(prefit, ZFit) and prefit.converged:
             theta0 = prefit.theta_hat
@@ -342,11 +350,13 @@ def fit_optimal_adjustment(d: Dataset, spec: MeanSpec, theta0=None) -> ZFit:
 # ---------------------------------------------------------------------------
 
 def _arm_least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """OLS coefficients with a deterministic ridge fallback on collinearity."""
+    """OLS coefficients with a deterministic ridge where the (n, q) design's
+    Gram matrix is singular to rounding: its smallest eigenvalue at most
+    max(n, q) * eps times its largest."""
     gram = design.T @ design
     rhs = design.T @ y
-    rank = np.linalg.matrix_rank(design)
-    if rank < design.shape[1]:
+    eig = np.linalg.eigvalsh(gram)
+    if eig[0] <= eig[-1] * max(design.shape) * np.finfo(float).eps:
         lam = 1e-8 * np.trace(gram) / design.shape[1]
         warnings.warn(
             "imputed adjustment columns are collinear; ridge-regularizing "
@@ -379,8 +389,8 @@ def adjusted_imputation(
             raise ConvergenceError(
                 f"first-stage imputation fit did not converge: {fit.message}"
             )
-        columns.append(glm_mean(spec, 0, d.x, fit.theta_hat, design=d.plan.design))
-        columns.append(glm_mean(spec, 1, d.x, fit.theta_hat, design=d.plan.design))
+        _, (h1, _), (h0, _) = _fitted(d, spec, fit.theta_hat)
+        columns += [h0, h1]
     full_design = np.column_stack([np.ones(d.n)] + columns)
     adj = {}
     for arm in (1, 0):

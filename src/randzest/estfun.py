@@ -144,12 +144,12 @@ class GlmFamily:
 
     Each method reads one evaluation at eta (``_mean_forms``): the clamped
     predictor and the mean with its first two predictor derivatives, from
-    one clip and one exp.  ``loss`` is the (normalized) minus log-density
-    and ``dloss_deta``/``d2loss_deta2`` its derivatives, so the score in
-    theta is ``dloss_deta * (1, x)``; ``score_weight_loss`` gives all three
-    from one evaluation.  ``kappa`` is the fixed negative-binomial
-    dispersion (per arm: two numbers, or two (R, 1) columns for a block of
-    R datasets); it is None otherwise.
+    one clip and one exp.  ``score_weight_loss`` gives the (normalized)
+    minus log-density with its first two eta-derivatives, the score factor
+    ``dloss_deta`` (the score in theta is ``dloss_deta * (1, x)``) and the
+    Jacobian weight, from one evaluation.  ``kappa`` is the fixed
+    negative-binomial dispersion (per arm: two numbers, or two (R, 1)
+    columns for a block of R datasets); it is None otherwise.
     """
 
     kind: str
@@ -180,11 +180,13 @@ class GlmFamily:
         dmu = mu * inside
         return eta_c, mu, dmu, dmu, inside
 
+    @property
+    def name(self) -> str:
+        """The family's :class:`ModelConfig` name: its kind up to the link."""
+        return self.kind.partition("-")[0]
+
     def mean(self, eta: np.ndarray) -> np.ndarray:
         return self._mean_forms(eta)[1]
-
-    def mean_deta(self, eta: np.ndarray) -> np.ndarray:
-        return self._mean_forms(eta)[2]
 
     def link(self, mu: np.ndarray) -> np.ndarray:
         """Canonical link g = (mean)^-1 on the mean scale."""
@@ -197,18 +199,12 @@ class GlmFamily:
 
     # -- normalized minus log-density and derivatives ------------------------
 
-    def loss(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
-        return self._loss(y, self._mean_forms(eta), arm)
-
     def dloss_deta(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
         return self._score(y, self._mean_forms(eta), arm)
 
-    def d2loss_deta2(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
-        return self._weight(y, self._mean_forms(eta), arm)
-
     def score_weight_loss(self, y: np.ndarray, eta: np.ndarray,
                           arm: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dloss_deta, d2loss_deta2, loss) at eta from one evaluation."""
+        """(dloss/deta, d2loss/deta2, loss) at eta from one evaluation."""
         forms = self._mean_forms(eta)
         return self._score(y, forms, arm), self._weight(y, forms, arm), self._loss(y, forms, arm)
 
@@ -282,6 +278,16 @@ _FAMILIES = {  # every accepted family name -> (canonical name, builder)
 }
 
 
+def squared_loss_start(family_name: str) -> Optional[str]:
+    """The family whose maximum-likelihood fit starts a squared-loss fit of a
+    ``family_name`` mean: the canonical family of that mean, Poisson for a
+    negbin mean (the squared loss reads the mean only, so the two fits are
+    one); None for a linear mean, whose least squares start at zeros."""
+    if family_name == "gaussian":
+        return None
+    return "poisson" if family_name == "negbin" else family_name
+
+
 def _check_width(n_covariates: int, available: int) -> None:
     if available < n_covariates:
         raise SpecificationError(f"model needs {n_covariates} covariates, data has {available}")
@@ -349,30 +355,23 @@ class MeanSpec:
     def alpha_index(self, arm: int) -> int:
         return 0 if arm == 1 else 1
 
-    def design(self, x: np.ndarray) -> np.ndarray:
-        """Intercept-augmented covariate rows (n, d+1); see :func:`intercept_design`."""
-        return intercept_design(x, self.n_covariates)
-
-    def eta(self, arm: int, x: np.ndarray, theta: np.ndarray, *, design=None) -> np.ndarray:
-        """Linear predictors of the covariate rows x; ``design``, if given, is
-        their [1, x] (see :func:`leading_design`) and x is not read."""
+    def _coef(self, arm: int, theta: np.ndarray) -> np.ndarray:
+        """(alpha_arm, beta_arm) of a flat theta of this spec's shape."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dim,):
             raise SpecificationError(
                 f"theta has shape {theta.shape}, expected ({self.dim},)"
             )
-        rows = self.design(x) if design is None else leading_design(design, self.n_covariates)
-        return rows @ theta[self.indices(arm)]
+        return theta[self.indices(arm)]
+
+    def eta(self, arm: int, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Linear predictors of the covariate rows x."""
+        return intercept_design(x, self.n_covariates) @ self._coef(arm, theta)
 
 
-def glm_mean(spec: MeanSpec, arm: int, x: np.ndarray, theta: np.ndarray, *,
-             design=None) -> np.ndarray:
-    """Fitted conditional means h_arm(x; theta) for each covariate row.
-
-    ``design`` is the rows' [1, x] when the caller holds it already (a
-    dataset's ``plan.design``); it is then read instead of x.
-    """
-    return spec.family.mean(spec.eta(arm, x, theta, design=design))
+def glm_mean(spec: MeanSpec, arm: int, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Fitted conditional means h_arm(x; theta) for each covariate row."""
+    return spec.family.mean(spec.eta(arm, x, theta))
 
 
 class _DesignKernel:

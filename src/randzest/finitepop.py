@@ -239,9 +239,6 @@ class Dataset:
         """The arm split: each arm's unit mask and rows, counted once."""
         return ArmPlan(self)
 
-    def arm_mask(self, arm: int) -> np.ndarray:
-        return self.plan.arm(arm).units
-
 
 def observe(pot: PotentialTable, a: Assignment) -> Dataset:
     """Reveal one potential outcome per unit: Y = Z*Y(1) + (1-Z)*Y(0)."""
@@ -279,17 +276,6 @@ def fp_cov(u, v) -> float:
     if u.size < 2:
         raise DegenerateInputError("covariance needs at least 2 values")
     return float(np.dot(u - u.mean(), v - v.mean()) / (u.size - 1))
-
-
-def fp_cov_matrix(rows: np.ndarray) -> np.ndarray:
-    """Covariance matrix of the rows of an (n, k) array, divisor n-1."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise DimensionError(f"expected (n, k) rows, got shape {rows.shape}")
-    if rows.shape[0] < 2:
-        raise DegenerateInputError("covariance needs at least 2 rows")
-    centered = rows - rows.mean(axis=0)
-    return centered.T @ centered / (rows.shape[0] - 1)
 
 
 def _arm_values(d: Dataset, arm: int, values) -> np.ndarray:

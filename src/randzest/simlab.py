@@ -28,12 +28,12 @@ import numpy as np
 from .ate import (
     AteResult,
     GScale,
+    _fitted,
+    _ma_from_values,
     adjusted_imputation,
     fit_optimal_adjustment,
     fit_working_models,
     gscale,
-    mean_adjustment,
-    tau_model_assisted,
     tau_model_based,
     tau_model_imputed,
     tau_unadjusted,
@@ -45,7 +45,7 @@ from .errors import (
     RandzestError,
     SpecificationError,
 )
-from .estfun import ModelConfig
+from .estfun import ModelConfig, squared_loss_start
 from .finitepop import Dataset, PotentialTable, draw_assignment, enumerate_assignments, make_rng, observe
 from .zestim import _normal_critical
 
@@ -179,27 +179,29 @@ def _check_method(model: ModelConfig, method: str) -> None:
         )
 
 
+def _start(method: str, model: ModelConfig) -> Optional[ModelConfig]:
+    """The model whose maximum-likelihood fit a (method, model) fit starts
+    from (:func:`~randzest.estfun.squared_loss_start`), or None."""
+    family = squared_loss_start(model.family_name) if method != "mle" else None
+    return None if family is None else ModelConfig(family, model.interaction)
+
+
 def _reads(config: EstimatorConfig) -> list[tuple[str, ModelConfig]]:
     """The (method, model) keys of the fits an estimator reads, in order; a
-    squared-loss negbin fit is the Poisson one, of the same mean form."""
+    squared-loss fit is keyed by the model it starts from, whose mean it
+    fits (a negbin one is the Poisson one)."""
     pairs = {"ai": config.imputations, "unadjusted": ()}.get(
         config.kind, ((config.model, config.method),))
-    return [
-        (method, ModelConfig("poisson", model.interaction)
-         if method == "squared-loss" and model.family_name == "negbin" else model)
-        for model, method in pairs
-    ]
+    return [(method, _start(method, model) or model) for model, method in pairs]
 
 
 def _fit_list(configs) -> dict:
     """Every fit a roster reads, once, mapped to the key of the fit it starts
-    from: a squared-loss fit of a non-linear mean starts from the
-    maximum-likelihood fit of the same mean, listed before it; other fits
-    map to None."""
+    from (:func:`_start`), which is listed before it; or to None."""
     fits: dict = {}
     for config in configs:
         for method, model in _reads(config):
-            start = ("mle", model) if method != "mle" and model.family_name != "gaussian" else None
+            start = ("mle", model) if _start(method, model) else None
             if start is not None:
                 fits.setdefault(start, None)
             fits.setdefault((method, model), start)
@@ -289,8 +291,8 @@ def build_estimator(
             return tau_model_based(d, spec, fit, g)
         if kind == "i":
             return tau_model_imputed(d, spec, fit, g)
-        h1, h0 = mean_adjustment(spec, d.plan.design)
-        return tau_model_assisted(d, h1, h0, fit.theta_hat, g, fits=(fit,))
+        _, (h1, _), (h0, _) = _fitted(d, spec, fit.theta_hat)
+        return _ma_from_values(d, h1, h0, g, "A", (fit,))
 
     return estimate
 

@@ -63,16 +63,6 @@ class ZFit:
     sigma_hat: Optional[np.ndarray] = None
     message: str = ""
 
-    def to_document(self) -> dict:
-        return {
-            "theta": [float(v) for v in self.theta_hat],
-            "sigma": None if self.sigma_hat is None
-            else [[float(v) for v in row] for row in self.sigma_hat],
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-            "psi_norm": float(self.psi_norm),
-        }
-
 
 def _arm_kernels(datasets, f: EstimatingFunction, fused: bool) -> tuple:
     """(arm, kernel, arm rows) of the treated and the control arm of a block

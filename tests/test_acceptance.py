@@ -123,7 +123,7 @@ def test_criterion_2_equivalence(equivalence_fits):
         assert gap <= 1e-8
         worst_gap = max(worst_gap, gap)
         for arm in (1, 0):
-            mask = d.arm_mask(arm)
+            mask = d.plan.arm(arm).units
             fitted = rz.glm_mean(spec, arm, d.x[mask], fit.theta_hat)
             pred = abs(fitted.mean() - d.y[mask].mean())
             assert pred <= 1e-8

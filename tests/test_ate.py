@@ -8,7 +8,7 @@ import pytest
 
 import randzest as rz
 from randzest import zestim
-from randzest.ate import IDENTITY, LOG, LOGIT, _intercept_start
+from randzest.ate import IDENTITY, LOG, LOGIT, _arm_least_squares, _intercept_start
 from randzest.errors import ConvergenceError, DomainError, SpecificationError
 from randzest.estfun import ModelConfig
 
@@ -86,6 +86,24 @@ class TestModelBased:
             float(grad @ fit.sigma_hat @ grad), rel=1e-6
         )
 
+    @pytest.mark.parametrize("kind", ["B", "I"])
+    def test_one_family_evaluation_per_arm(self, kind, monkeypatch):
+        # the effect and its delta-method gradient read the same evaluation
+        d, _ = _count_dataset()
+        spec = rz.MeanSpec(rz.poisson_family(), True, 2)
+        fit = rz.fit_working_model(d, spec)
+        calls = []
+        real = rz.GlmFamily._mean_forms
+
+        def counting(family, eta):
+            calls.append(eta.shape)
+            return real(family, eta)
+
+        monkeypatch.setattr(rz.GlmFamily, "_mean_forms", counting)
+        estimator = rz.tau_model_based if kind == "B" else rz.tau_model_imputed
+        estimator(d, spec, fit, LOG)
+        assert calls == [(d.n,), (d.n,)]
+
     def test_log_domain_violation_lists_units(self):
         d, _ = _count_dataset()
         spec = rz.MeanSpec(rz.gaussian_family(), True, 2)
@@ -117,7 +135,7 @@ class TestImputedEqualsAssisted:
         res_a = rz.tau_model_assisted(d, h1, h0, fit.theta_hat, scale)
         assert abs(res_i.tau_hat - res_a.tau_hat) <= 1e-8
         for arm in (1, 0):
-            mask = d.arm_mask(arm)
+            mask = d.plan.arm(arm).units
             fitted = rz.glm_mean(spec, arm, d.x[mask], fit.theta_hat)
             assert abs(fitted.mean() - d.y[mask].mean()) <= 1e-8
 
@@ -192,7 +210,7 @@ class TestOptimalAdjustment:
         fit = rz.fit_optimal_adjustment(d, spec)
         assert fit.converged
         for arm in (1, 0):
-            mask = d.arm_mask(arm)
+            mask = d.plan.arm(arm).units
             design = np.column_stack([np.ones(mask.sum()), d.x[mask]])
             beta = np.linalg.solve(design.T @ design, design.T @ d.y[mask])
             np.testing.assert_allclose(fit.theta_hat[spec.indices(arm)], beta, atol=1e-8)
@@ -241,6 +259,27 @@ class TestAdjustedImputation:
         spec = rz.MeanSpec(rz.gaussian_family(), True, 1)
         with pytest.warns(RuntimeWarning, match="collinear"):
             rz.adjusted_imputation(d1, [(spec, rz.fit_working_model(d1, spec))], IDENTITY)
+
+    @pytest.mark.parametrize("delta,ridged", [(1e-9, True), (1e-4, False)])
+    def test_near_collinear_columns_follow_the_gram_rule(self, delta, ridged):
+        # the ridge is decided on the Gram matrix: smallest eigenvalue at most
+        # max(n, q) * eps times the largest.  At delta = 1e-9 the design has
+        # full numerical rank (singular-value ratio ~1e-9, far above n * eps),
+        # but its Gram matrix cannot resolve the third column
+        gen = rz.make_rng(5)
+        n = 200
+        x, u = gen.standard_normal((2, n))
+        design = np.column_stack([np.ones(n), x, x + delta * u])
+        assert np.linalg.matrix_rank(design) == 3
+        eig = np.linalg.eigvalsh(design.T @ design)
+        ratio, bound = eig[0] / eig[-1], n * np.finfo(float).eps
+        assert ratio < bound / 10 if ridged else ratio > bound * 10
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            coef = _arm_least_squares(design, 1.0 + x + gen.standard_normal(n))
+        assert [str(w.message).startswith("imputed adjustment columns are collinear")
+                for w in caught] == ([True] if ridged else [])
+        assert np.isfinite(coef).all()
 
     def test_two_stage_poisson_runs(self):
         d, _ = _count_dataset(seed=43)

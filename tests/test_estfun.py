@@ -238,8 +238,8 @@ class TestFusedEvaluation:
             clamped |= bool(np.any(np.abs(eta) > ETA_CLAMP))
             got = k.evaluate(k.y, eta, arm)
             if mle:
-                expected = (fam.dloss_deta(k.y, eta, arm), fam.d2loss_deta2(k.y, eta, arm),
-                            fam.loss(k.y, eta, arm))
+                expected = tuple(part(k.y, fam._mean_forms(eta), arm)
+                                 for part in (fam._score, fam._weight, fam._loss))
             else:
                 expected = _squared_forms(fam, k.y, eta)
             _assert_same_bits(got, expected)
@@ -276,7 +276,7 @@ class TestUnitJacobians:
             rows = d.plan.arm(arm)
             idx = spec.indices(arm)
             design = rows.design
-            w = spec.family.d2loss_deta2(rows.y, design @ theta[idx], arm)
+            _, w, _ = spec.family.score_weight_loss(rows.y, design @ theta[idx], arm)
             n = len(rows.y)
             expected = np.zeros((n, spec.dim, spec.dim))
             expected[np.ix_(np.arange(n), idx, idx)] = \
@@ -358,7 +358,7 @@ class TestSquaredLoss:
         fit = rz.solve(d, rz.squared_loss_estfun(spec))
         assert fit.converged
         for arm in (1, 0):
-            mask = d.arm_mask(arm)
+            mask = d.plan.arm(arm).units
             design = np.column_stack([np.ones(mask.sum()), d.x[mask]])
             beta = np.linalg.solve(design.T @ design, design.T @ d.y[mask])
             np.testing.assert_allclose(

@@ -84,7 +84,6 @@ class TestPlanRows:
             assert np.array_equal(rows.x, d.x[mask])
             assert np.array_equal(rows.design, full[mask])
             assert rows.share == mask.sum() / d.n
-            assert np.array_equal(d.arm_mask(arm), mask)
         for arr in (plan.design, *vars(plan.treated).values(), *vars(plan.control).values()):
             if isinstance(arr, np.ndarray):
                 assert not arr.flags.writeable

@@ -41,6 +41,17 @@ def _tiny_scenario(**overrides):
     return Scenario(**base)
 
 
+@pytest.fixture(scope="module")
+def table_a1_replication():
+    """(scenario, dataset, fit table) of the first table_a1 replication."""
+    s = simlab.load_scenario(simlab.bundled_scenario_path("table_a1"))
+    assert len(s.estimators) == 13
+    pot = simlab.gen_population(s, rz.make_rng(s.seed, 0))
+    d = rz.observe(pot, rz.draw_assignment(rz.make_rng(s.seed, 1), s.n, s.n1))
+    [fits] = simlab.fit_tables([d], s.estimators)
+    return s, d, fits
+
+
 class TestGenPopulation:
     def test_null_process_has_no_effect(self, rng):
         pot = simlab.gen_population(_tiny_scenario(), rng)
@@ -172,6 +183,30 @@ class TestRunStudy:
     def test_requires_two_replications(self):
         with pytest.raises(SpecificationError):
             simlab.run_study(_tiny_scenario(), replications=1)
+
+    @pytest.mark.parametrize("j", range(13))
+    def test_table_a1_row_equals_the_public_call(self, table_a1_replication, j):
+        # each roster row gives, bit for bit, what the public estimator
+        # functions give on the same fits
+        s, d, fits = table_a1_replication
+        config = s.estimators[j]
+        got = simlab.build_estimator(config, rz.LOG)(d, fits)
+        entries = [fits[key] for key in simlab._reads(config)]
+        if config.kind == "unadjusted":
+            def zero(x, theta):
+                return np.zeros(x.shape[0])
+
+            ref = rz.tau_model_assisted(d, zero, zero, np.zeros(0), rz.LOG)
+        elif config.kind == "ai":
+            ref = rz.adjusted_imputation(d, entries, rz.LOG)
+        else:
+            [(spec, fit)] = entries
+            if config.kind == "ma":
+                ref = rz.tau_model_assisted(d, *rz.mean_adjustment(spec), fit.theta_hat, rz.LOG)
+            else:
+                public = {"b": rz.tau_model_based, "i": rz.tau_model_imputed}[config.kind]
+                ref = public(d, spec, fit, rz.LOG)
+        assert (got.tau_hat, got.variance_hat) == (ref.tau_hat, ref.variance_hat)
 
     def test_row_lookup(self):
         table = simlab.run_study(_tiny_scenario(), replications=2)
