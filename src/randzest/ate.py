@@ -28,6 +28,7 @@ from .estfun import (
     GlmFamily,
     MeanSpec,
     ModelConfig,
+    collinear,
     glm_mean,
     glm_score_estfun,
     leading_design,
@@ -309,7 +310,7 @@ def _block_spec(specs: Sequence[MeanSpec]) -> MeanSpec:
     if spec.family.kappa is None:
         return spec
     kappa = tuple(np.array([[s.family.kappa[k]] for s in specs]) for k in (0, 1))
-    return dataclasses.replace(spec, family=GlmFamily(spec.family.kind, kappa=kappa))
+    return dataclasses.replace(spec, family=GlmFamily(spec.family.name, kappa=kappa))
 
 
 def fit_working_models(datasets: Sequence[Dataset], specs: Sequence[MeanSpec]) -> list:
@@ -351,12 +352,10 @@ def fit_optimal_adjustment(d: Dataset, spec: MeanSpec, theta0=None) -> ZFit:
 
 def _arm_least_squares(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     """OLS coefficients with a deterministic ridge where the (n, q) design's
-    Gram matrix is singular to rounding: its smallest eigenvalue at most
-    max(n, q) * eps times its largest."""
+    Gram matrix is :func:`~randzest.estfun.collinear`."""
     gram = design.T @ design
     rhs = design.T @ y
-    eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= eig[-1] * max(design.shape) * np.finfo(float).eps:
+    if collinear(gram, design.shape[0]):
         lam = 1e-8 * np.trace(gram) / design.shape[1]
         warnings.warn(
             "imputed adjustment columns are collinear; ridge-regularizing "

@@ -40,12 +40,6 @@ from .finitepop import with_intercept
 ETA_CLAMP = 35.0
 _FD_STEP = 1e-6
 
-GAUSSIAN = "gaussian-identity"
-BINOMIAL = "binomial-logit"
-POISSON = "poisson-log"
-NEGBIN = "negbin-log"
-
-
 @dataclass(frozen=True, eq=False)
 class EstimatingFunction:
     """Vectorized per-arm estimating functions with optional extras.
@@ -142,22 +136,24 @@ def _clamp(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GlmFamily:
     """One exponential-dispersion family on the linear-predictor scale.
 
-    Each method reads one evaluation at eta (``_mean_forms``): the clamped
-    predictor and the mean with its first two predictor derivatives, from
-    one clip and one exp.  ``score_weight_loss`` gives the (normalized)
-    minus log-density with its first two eta-derivatives, the score factor
-    ``dloss_deta`` (the score in theta is ``dloss_deta * (1, x)``) and the
-    Jacobian weight, from one evaluation.  ``kappa`` is the fixed
-    negative-binomial dispersion (per arm: two numbers, or two (R, 1)
-    columns for a block of R datasets); it is None otherwise.
+    ``name`` is the family's :class:`ModelConfig` name: gaussian (identity
+    link), binomial (logit), poisson or negbin (log).  Each method reads
+    one evaluation at eta (``_mean_forms``): the clamped predictor and the
+    mean with its first two predictor derivatives, from one clip and one
+    exp.  ``score_weight_loss`` is the family's one formula for the
+    (normalized) minus log-density and its first two eta-derivatives: the
+    score factor (the score in theta is it times ``(1, x)``), the Jacobian
+    weight and the loss.  ``kappa`` is the fixed negative-binomial
+    dispersion (per arm: two numbers, or two (R, 1) columns for a block of
+    R datasets); it is None otherwise.
     """
 
-    kind: str
+    name: str
     kappa: Optional[tuple[float, float]] = None
 
     @property
     def is_canonical(self) -> bool:
-        return self.kind != NEGBIN
+        return self.name != "negbin"
 
     def _kappa(self, arm: int) -> float:
         if self.kappa is None:
@@ -168,22 +164,17 @@ class GlmFamily:
         """(eta_c, mu, dmu, d2mu, inside): the clamped predictor, the mean and
         its first two predictor derivatives, and the clamp's 0/1 factor."""
         eta = np.asarray(eta, dtype=float)
-        if self.kind == GAUSSIAN:
+        if self.name == "gaussian":
             one = np.ones_like(eta)
             return eta, eta, one, np.zeros_like(eta), one
         eta_c, inside = _clamp(eta)
-        if self.kind == BINOMIAL:
+        if self.name == "binomial":
             mu = 1.0 / (1.0 + np.exp(-eta_c))
             dmu = mu * (1.0 - mu)
             return eta_c, mu, dmu * inside, dmu * (1.0 - 2.0 * mu) * inside, inside
-        mu = np.exp(eta_c)  # poisson-log and negbin-log
+        mu = np.exp(eta_c)  # poisson and negbin
         dmu = mu * inside
         return eta_c, mu, dmu, dmu, inside
-
-    @property
-    def name(self) -> str:
-        """The family's :class:`ModelConfig` name: its kind up to the link."""
-        return self.kind.partition("-")[0]
 
     def mean(self, eta: np.ndarray) -> np.ndarray:
         return self._mean_forms(eta)[1]
@@ -191,61 +182,42 @@ class GlmFamily:
     def link(self, mu: np.ndarray) -> np.ndarray:
         """Canonical link g = (mean)^-1 on the mean scale."""
         mu = np.asarray(mu, dtype=float)
-        if self.kind == GAUSSIAN:
+        if self.name == "gaussian":
             return mu
-        if self.kind == BINOMIAL:
+        if self.name == "binomial":
             return np.log(mu / (1.0 - mu))
         return np.log(mu)
-
-    # -- normalized minus log-density and derivatives ------------------------
-
-    def dloss_deta(self, y: np.ndarray, eta: np.ndarray, arm: int = 1) -> np.ndarray:
-        return self._score(y, self._mean_forms(eta), arm)
 
     def score_weight_loss(self, y: np.ndarray, eta: np.ndarray,
                           arm: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dloss/deta, d2loss/deta2, loss) at eta from one evaluation."""
-        forms = self._mean_forms(eta)
-        return self._score(y, forms, arm), self._weight(y, forms, arm), self._loss(y, forms, arm)
-
-    def _loss(self, y, forms, arm: int) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        eta_c, mu, _, _, _ = forms
-        if self.kind == GAUSSIAN:
-            return 0.5 * eta_c**2 - y * eta_c
-        if self.kind == BINOMIAL:
-            return np.logaddexp(0.0, eta_c) - y * eta_c
-        if self.kind == POISSON:
-            return mu - y * eta_c
-        # negbin, up to theta-free terms; log1p keeps large kappa stable
-        kappa = self._kappa(arm)
-        return -y * eta_c + (y + kappa) * np.log1p(mu / kappa)
-
-    def _score(self, y, forms, arm: int) -> np.ndarray:
-        _, mu, _, _, inside = forms
-        if self.kind != NEGBIN:
-            return (mu - y) * inside
-        kappa = self._kappa(arm)
-        return -kappa * (y - mu) / (kappa + mu) * inside
-
-    def _weight(self, y, forms, arm: int) -> np.ndarray:
-        _, mu, dmu, _, inside = forms
-        if self.kind != NEGBIN:
-            return dmu
-        kappa = self._kappa(arm)
-        return kappa * mu * (kappa + np.asarray(y, dtype=float)) / (kappa + mu) ** 2 * inside
+        eta_c, mu, dmu, _, inside = self._mean_forms(eta)
+        if self.name == "negbin":
+            # loss up to theta-free terms; log1p keeps large kappa stable
+            kappa = self._kappa(arm)
+            return (-kappa * (y - mu) / (kappa + mu) * inside,
+                    kappa * mu * (kappa + y) / (kappa + mu) ** 2 * inside,
+                    -y * eta_c + (y + kappa) * np.log1p(mu / kappa))
+        if self.name == "gaussian":
+            loss = 0.5 * eta_c**2 - y * eta_c
+        elif self.name == "binomial":
+            loss = np.logaddexp(0.0, eta_c) - y * eta_c
+        else:
+            loss = mu - y * eta_c
+        return (mu - y) * inside, dmu, loss
 
 
 def gaussian_family() -> GlmFamily:
-    return GlmFamily(GAUSSIAN)
+    return GlmFamily("gaussian")
 
 
 def binomial_family() -> GlmFamily:
-    return GlmFamily(BINOMIAL)
+    return GlmFamily("binomial")
 
 
 def poisson_family() -> GlmFamily:
-    return GlmFamily(POISSON)
+    return GlmFamily("poisson")
 
 
 def negbin_family(kappa) -> GlmFamily:
@@ -265,7 +237,7 @@ def negbin_family(kappa) -> GlmFamily:
         ) from None
     if not (np.isfinite(pair).all() and min(pair) > 0):
         raise SpecificationError(f"negbin dispersion must be finite and positive, got kappa={pair}")
-    return GlmFamily(NEGBIN, kappa=pair)
+    return GlmFamily("negbin", kappa=pair)
 
 
 _FAMILIES = {  # every accepted family name -> (canonical name, builder)
@@ -316,6 +288,16 @@ def leading_design(design: np.ndarray, n_covariates: int) -> np.ndarray:
     """
     _check_width(n_covariates, design.shape[1] - 1)
     return np.ascontiguousarray(design[:, :n_covariates + 1])
+
+
+def collinear(gram: np.ndarray, n_rows: int) -> bool:
+    """Whether the (q, q) Gram matrix of an (n_rows, q) design is singular to
+    rounding: its smallest eigenvalue at most max(n_rows, q) * eps times its
+    largest.  The rule reads the Gram matrix the caller solves with, so a
+    design whose columns are distinct in floating point but not in that
+    matrix counts as collinear."""
+    eig = np.linalg.eigvalsh(gram)
+    return bool(eig[0] <= eig[-1] * max(n_rows, gram.shape[0]) * np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,16 +367,16 @@ class _DesignKernel:
     (dim, dim) matrix.  Every product is taken slice by slice, so a
     dataset's numbers do not depend on the block it is evaluated in.
 
-    ``score(y, eta, arm)`` is the score factor alone; ``evaluate(y, eta,
-    arm)`` gives (score, weight, loss) from one evaluation.  A trial
-    ``mean(theta, True)`` keeps its weights, so the Jacobian at the points a
-    solve has just evaluated (its last trial) reuses them.
+    ``evaluate(y, eta, arm)`` gives (score, weight, loss) from one
+    evaluation; it is the kernel's only evaluation of its model.  A trial
+    ``mean(theta, with_risk)`` keeps its weights, so the Jacobian at the
+    points a solve has just evaluated (its last trial) reuses them.
     """
 
-    def __init__(self, design, y, arm: int, slots, flat, dim: int, score, evaluate):
+    def __init__(self, design, y, arm: int, slots, flat, dim: int, evaluate):
         self.design, self.y = design, np.asarray(y, dtype=float)
         self.arm, self.slots, self.flat, self.dim = arm, slots, flat, dim
-        self.score, self.evaluate = score, evaluate
+        self.evaluate = evaluate
         self._trial = (None, None)  # (bytes of theta[..., slots], weight) of the last trial
 
     def _coef(self, theta):
@@ -411,7 +393,7 @@ class _DesignKernel:
         return self.evaluate(self.y, self._eta(coef), self.arm)[1]
 
     def scores(self, theta):
-        factor = self.score(self.y, self._eta(self._coef(theta)), self.arm)
+        factor = self.evaluate(self.y, self._eta(self._coef(theta)), self.arm)[0]
         out = np.zeros(self.y.shape + (self.dim,))
         out[..., self.slots] = factor[..., None] * self.design
         return out
@@ -428,18 +410,13 @@ class _DesignKernel:
 
     def mean(self, theta, with_risk: bool = False):
         coef = self._coef(theta)
-        eta = self._eta(coef)
+        score, weight, loss = self.evaluate(self.y, self._eta(coef), self.arm)
+        self._trial = (coef.tobytes(), weight)
         n = self.y.shape[-1]
         psi = np.zeros(coef.shape[:-1] + (self.dim,))
-        if not with_risk:
-            psi[..., self.slots] = (self.score(self.y, eta, self.arm)[..., None, :]
-                                    @ self.design)[..., 0, :] / n
-            return psi, None
-        score, weight, loss = self.evaluate(self.y, eta, self.arm)
-        self._trial = (coef.tobytes(), weight)
         psi[..., self.slots] = (score[..., None, :] @ self.design)[..., 0, :] / n
         # the reduction np.mean runs, without its wrapper cost
-        return psi, loss.sum(axis=-1) / n
+        return psi, (loss.sum(axis=-1) / n if with_risk else None)
 
     def jacobian(self, theta):
         w = self._weight(theta)
@@ -450,21 +427,20 @@ class _DesignKernel:
         return out.reshape(lead + (self.dim, self.dim))
 
 
-def _design_estfun(dim: int, n_covariates: int, slots, score,
-                   evaluate) -> EstimatingFunction:
+def _design_estfun(dim: int, n_covariates: int, slots, evaluate) -> EstimatingFunction:
     """Estimating function on ``dim`` parameters whose arm-z scores are
-    score(y, eta, z) * design in the positions ``slots[z]``, with design the
+    score * design in the positions ``slots[z]``, with design the
     intercept-augmented first ``n_covariates`` covariates and
-    eta = design @ theta[slots[z]].  ``evaluate(y, eta, z)`` gives the score
-    with its eta-derivative (the Jacobian weight) and the loss whose
-    eta-derivative is the score, from one evaluation; both act elementwise.
+    eta = design @ theta[slots[z]].  ``evaluate(y, eta, z)`` gives that
+    score factor with its eta-derivative (the Jacobian weight) and the loss
+    whose eta-derivative is the score, from one evaluation, elementwise.
     The kernel stacks a block of arm plans' design columns; the per-unit
     callables build them from x and are evaluated by the same kernel class
     on one dataset."""
     flat = {arm: (s[:, None] * dim + s).ravel() for arm, s in slots.items()}
 
     def make(arm, design, y):
-        return _DesignKernel(design, y, arm, slots[arm], flat[arm], dim, score, evaluate)
+        return _DesignKernel(design, y, arm, slots[arm], flat[arm], dim, evaluate)
 
     def kernel(arm, block):
         if len(block) == 1:  # a view of the plan's rows, not a stacked copy
@@ -487,10 +463,10 @@ def _design_estfun(dim: int, n_covariates: int, slots, score,
     )
 
 
-def _spec_estfun(spec: MeanSpec, score, evaluate) -> EstimatingFunction:
+def _spec_estfun(spec: MeanSpec, evaluate) -> EstimatingFunction:
     """:func:`_design_estfun` of a working GLM's mean functions."""
     slots = {arm: spec.indices(arm) for arm in (1, 0)}
-    return _design_estfun(spec.dim, spec.n_covariates, slots, score, evaluate)
+    return _design_estfun(spec.dim, spec.n_covariates, slots, evaluate)
 
 
 def glm_score_estfun(spec: MeanSpec) -> EstimatingFunction:
@@ -501,8 +477,7 @@ def glm_score_estfun(spec: MeanSpec) -> EstimatingFunction:
     raw residual with its dispersion-weighted form).  Analytic Jacobians and
     normalized minus log-density losses are attached.
     """
-    fam = spec.family
-    return _spec_estfun(spec, fam.dloss_deta, fam.score_weight_loss)
+    return _spec_estfun(spec, spec.family.score_weight_loss)
 
 
 def squared_loss_estfun(spec: MeanSpec) -> EstimatingFunction:
@@ -516,18 +491,12 @@ def squared_loss_estfun(spec: MeanSpec) -> EstimatingFunction:
             "squared-loss estimation needs disjoint per-arm parameters; "
             "use a spec with interaction=True"
         )
-    fam = spec.family
-
-    def score(y, eta, arm):
-        _, mu, dmu, _, _ = fam._mean_forms(eta)
-        return -2.0 * (y - mu) * dmu
-
     def evaluate(y, eta, arm):
-        _, mu, dmu, d2mu, _ = fam._mean_forms(eta)
+        _, mu, dmu, d2mu, _ = spec.family._mean_forms(eta)
         resid = y - mu
         return -2.0 * resid * dmu, 2.0 * (dmu**2 - resid * d2mu), resid**2
 
-    return _spec_estfun(spec, score, evaluate)
+    return _spec_estfun(spec, evaluate)
 
 
 def canonical_q_vectors(spec: MeanSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -541,7 +510,7 @@ def canonical_q_vectors(spec: MeanSpec, theta: np.ndarray) -> tuple[np.ndarray, 
     """
     if not spec.family.is_canonical:
         raise SpecificationError(
-            f"q-vectors exist only for canonical families, not {spec.family.kind}"
+            f"q-vectors exist only for canonical families, not {spec.family.name}"
         )
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.dim,):
@@ -586,23 +555,22 @@ class ModelConfig:
             negbin_family(self.kappa)  # raises unless a finite positive number
         object.__setattr__(self, "kappa", float(self.kappa) if fixed else None)
 
-    def build(self, n_covariates: int, kappa=None) -> MeanSpec:
+    def build(self, n_covariates: int) -> MeanSpec:
         builder = _FAMILIES[self.family_name][1]
         if self.family_name != "negbin":
             return MeanSpec(builder(), self.interaction, n_covariates)
-        kappa = self.kappa if kappa is None else kappa
-        if kappa is None:
+        if self.kappa is None:
             raise SpecificationError(
                 "negbin model needs kappa= in the spec string or a "
                 "dispersion estimated from data"
             )
-        return MeanSpec(builder(kappa), self.interaction, n_covariates)
+        return MeanSpec(builder(self.kappa), self.interaction, n_covariates)
 
     def bind(self, d) -> MeanSpec:
         """The model on a dataset's covariates; negbin without a fixed kappa
         gets the per-arm :func:`moment_kappa` of the dataset."""
         if self.family_name == "negbin" and self.kappa is None:
-            return self.build(d.x.shape[1], kappa=moment_kappa(d))
+            return MeanSpec(negbin_family(moment_kappa(d)), self.interaction, d.x.shape[1])
         return self.build(d.x.shape[1])
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SpecificationError
-from .estfun import EstimatingFunction, _design_estfun
+from .estfun import EstimatingFunction, _design_estfun, collinear
 from .finitepop import Dataset, fp_var
 from .zestim import ZFit, sandwich, solve
 
@@ -84,15 +84,12 @@ def ite_estfun(model: EdfTauModel, r1: float) -> EstimatingFunction:
         raise SpecificationError(f"r1 must be in (0, 1), got {r1}")
     scale = {1: 1.0 / r1, 0: -1.0 / (1.0 - r1)}  # s_z(y) = scale[z] * y
 
-    def score(y, t, arm):
-        return model.forms(t)[1] - scale[arm] * y
-
     def evaluate(y, t, arm):
         u, u_dt, u_dt2 = model.forms(t)
         return u_dt - scale[arm] * y, u_dt2, u - scale[arm] * y * t
 
     slots = np.arange(model.dim)
-    return _design_estfun(model.dim, model.dim - 1, {1: slots, 0: slots}, score, evaluate)
+    return _design_estfun(model.dim, model.dim - 1, {1: slots, 0: slots}, evaluate)
 
 
 def _with_columns(d: Dataset, columns) -> Dataset:
@@ -138,10 +135,10 @@ def fit_normal_linear(d: Dataset, columns=None) -> NormalLinearFit:
     """
     d_fit = _with_columns(d, columns)
     design = d_fit.plan.design
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    gram = design.T @ design / d.n
+    if collinear(gram, d.n):
         raise SpecificationError("effect-model design matrix is rank deficient")
-    tau_hat = pseudo_effects(d_fit)
-    theta = np.linalg.solve(design.T @ design / d.n, design.T @ tau_hat / d.n)
+    theta = np.linalg.solve(gram, design.T @ pseudo_effects(d_fit) / d.n)
 
     estfun = ite_estfun(normal_linear_model(design.shape[1] - 1), d_fit.r1)
     zfit = solve(d_fit, estfun, theta, compute_sandwich=False)

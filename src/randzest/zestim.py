@@ -534,7 +534,13 @@ class WaldSet:
     def contains(self, omega) -> bool:
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         diff = self.estimate - omega
-        stat = float(diff @ np.linalg.solve(self.cov, diff))
+        try:
+            stat = float(diff @ np.linalg.solve(self.cov, diff))
+        except np.linalg.LinAlgError:
+            raise NumericalError(
+                "the contrast covariance is singular; the Wald set has no "
+                "quadratic form to test membership with"
+            ) from None
         return stat <= self.chi2_crit
 
     @property

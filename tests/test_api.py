@@ -47,12 +47,10 @@ SURFACE = {
                        "estimation_label",
     "EstimatorConfig.labels": "self",
     "GScale": "name g gdot in_domain",
-    "GlmFamily": "kind kappa",
-    "GlmFamily.dloss_deta": "self y eta arm",
+    "GlmFamily": "name kappa",
     "GlmFamily.is_canonical": "<property>",
     "GlmFamily.link": "self mu",
     "GlmFamily.mean": "self eta",
-    "GlmFamily.name": "<property>",
     "GlmFamily.score_weight_loss": "self y eta arm",
     "IDENTITY": "<GScale>",
     "LOG": "<GScale>",

@@ -211,6 +211,22 @@ def _squared_forms(fam, y, eta):
     return -2.0 * (y - mu) * dmu, 2.0 * (dmu**2 - (y - mu) * d2mu), (y - mu) ** 2
 
 
+def _mle_forms(fam, y, eta, arm):
+    """The maximum-likelihood score, weight and loss of each family, written
+    out: the score factor is dloss/deta, the weight its eta-derivative."""
+    eta_c, mu, dmu, _, inside = fam._mean_forms(eta)
+    if fam.name == "gaussian":
+        return (mu - y) * inside, dmu, 0.5 * eta_c**2 - y * eta_c
+    if fam.name == "binomial":
+        return (mu - y) * inside, dmu, np.logaddexp(0.0, eta_c) - y * eta_c
+    if fam.name == "poisson":
+        return (mu - y) * inside, dmu, mu - y * eta_c
+    k = fam.kappa[0] if arm == 1 else fam.kappa[1]
+    return (-k * (y - mu) / (k + mu) * inside,
+            k * mu * (k + y) / (k + mu) ** 2 * inside,
+            -y * eta_c + (y + k) * np.log1p(mu / k))
+
+
 def _assert_same_bits(got, expected):
     for g, e in zip(got, expected, strict=True):
         assert g.dtype == e.dtype and np.array_equal(g, e, equal_nan=True)
@@ -238,12 +254,12 @@ class TestFusedEvaluation:
             clamped |= bool(np.any(np.abs(eta) > ETA_CLAMP))
             got = k.evaluate(k.y, eta, arm)
             if mle:
-                expected = tuple(part(k.y, fam._mean_forms(eta), arm)
-                                 for part in (fam._score, fam._weight, fam._loss))
+                expected = _mle_forms(fam, k.y, eta, arm)
             else:
                 expected = _squared_forms(fam, k.y, eta)
             _assert_same_bits(got, expected)
-            _assert_same_bits([k.score(k.y, eta, arm)], expected[:1])
+            scores = k.scores(theta[None])[..., spec.indices(arm)]
+            _assert_same_bits([scores], [expected[0][..., None] * k.design])
             trial, _ = k.mean(theta[None], True)
             assert np.array_equal(trial, k.mean(theta[None])[0])
         assert clamped == (scale > 1)
@@ -262,7 +278,38 @@ class TestFusedEvaluation:
             u, u_dt, u_dt2 = tau.forms(t)
             expected = (u_dt - s * k.y, u_dt2, u - s * k.y * t)
             _assert_same_bits(k.evaluate(k.y, t, arm), expected)
-            _assert_same_bits([k.score(k.y, t, arm)], expected[:1])
+            _assert_same_bits([k.scores(theta[None])], [expected[0][..., None] * k.design])
+
+
+class TestOneEvaluation:
+    """Every kernel path evaluates its model once, and the family's formula
+    evaluates the mean once."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("method", ["mle", "squared-loss"])
+    def test_kernel_paths_call_evaluate_once(self, family, method):
+        d, spec = _glm_case(family, True)
+        f = rz.glm_score_estfun(spec) if method == "mle" else rz.squared_loss_estfun(spec)
+        theta = 0.3 * rz.make_rng(2).standard_normal((1, spec.dim))
+        k = f.kernel(1, [d.plan.arm(1)])
+        calls = []
+        evaluate = k.evaluate
+        k.evaluate = lambda *args: calls.append(1) or evaluate(*args)
+        for run in (lambda: k.scores(theta), lambda: k.mean(theta, True),
+                    lambda: k.mean(theta, False)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family_formula_evaluates_the_mean_once(self, family, monkeypatch):
+        fam = FAMILIES[family]()
+        calls = []
+        forms = rz.GlmFamily._mean_forms
+        monkeypatch.setattr(rz.GlmFamily, "_mean_forms",
+                            lambda self, eta: calls.append(1) or forms(self, eta))
+        fam.score_weight_loss(np.array([0.0, 1.0, 3.0]), np.array([-0.5, 0.2, 1.1]), 0)
+        assert len(calls) == 1
 
 
 class TestUnitJacobians:

@@ -181,6 +181,23 @@ class TestNormalLinear:
         with pytest.raises(SpecificationError, match="rank"):
             rz.fit_normal_linear(d, columns=dup)
 
+    @pytest.mark.parametrize("delta,rejected", [(1e-9, True), (1e-4, False)])
+    def test_near_collinear_columns_follow_the_gram_rule(self, delta, rejected):
+        # the rule of the adjusted-imputation ridge: the Gram matrix's smallest
+        # eigenvalue at most max(n, q) * eps times its largest.  At
+        # delta = 1e-9 the design has full numerical rank, but its Gram
+        # matrix cannot resolve the third column
+        d, _ = _experiment()
+        u = rz.make_rng(7).standard_normal(d.n)
+        columns = np.column_stack([d.x[:, 0], d.x[:, 0] + delta * u])
+        design = np.column_stack([np.ones(d.n), columns])
+        assert np.linalg.matrix_rank(design) == 3
+        if rejected:
+            with pytest.raises(SpecificationError, match="rank"):
+                rz.fit_normal_linear(d, columns=columns)
+        else:
+            assert np.isfinite(rz.fit_normal_linear(d, columns=columns).theta_hat).all()
+
 
 class TestTernary:
     def _binary_experiment(self, seed=51, n=400, beta=(0.3, 0.8, -0.5)):

@@ -537,6 +537,17 @@ class TestWald:
         with pytest.raises(SpecificationError, match="alpha"):
             rz.wald_set(self._unit_fit(), np.array([1.0]), alpha=5e-324)
 
+    def test_singular_covariance_raises_numerical_error(self):
+        # constant outcomes: the gaussian fit is exact and its sandwich zero
+        n = 20
+        d = rz.Dataset(rz.Assignment([1] * 10 + [0] * 10), np.full(n, 3.0),
+                       rz.make_rng(3).standard_normal((n, 1)))
+        fit = rz.solve(d, rz.glm_score_estfun(rz.MeanSpec(rz.gaussian_family(), True, 1)))
+        assert fit.converged and not fit.sigma_hat.any()
+        ws = rz.wald_set(fit, np.eye(4)[:, :2])
+        with pytest.raises(NumericalError, match="covariance is singular"):
+            ws.contains([3.0, 3.0])
+
     def test_rank_deficient_contrast(self):
         fit = rz.ZFit(
             theta_hat=np.zeros(2), converged=True, iterations=1, psi_norm=0.0,
