@@ -53,8 +53,6 @@ from .finitepop import (
     PotentialTable,
     draw_assignment,
     enumerate_assignments,
-    fp_cov,
-    fp_mean,
     fp_var,
     group_mean,
     group_moments,

@@ -81,15 +81,22 @@ def gscale(name: str) -> GScale:
 
 
 def _require_domain(g: GScale, values: np.ndarray, what: str) -> None:
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    ok = g.in_domain(values)
-    if not np.all(ok):
-        bad = np.flatnonzero(~ok)
-        preview = ", ".join(str(int(i)) for i in bad[:10])
-        raise DomainError(
-            f"{what} outside the domain of g={g.name} at "
-            f"{bad.size} position(s): [{preview}]"
-        )
+    """Raise DomainError naming the units whose per-unit ``values`` are
+    outside g's domain."""
+    bad = np.flatnonzero(~g.in_domain(values))
+    if bad.size:
+        raise DomainError(f"{what} outside the domain of g={g.name} at {bad.size} "
+                          f"position(s): {bad[:10].tolist()}")
+
+
+def _require_mean_domain(g: GScale, mean: float, what: str, values, units=True) -> None:
+    """Raise DomainError stating ``mean`` if it is outside g's domain, naming
+    the units (mask ``units``) where the ``values`` it averages are not finite."""
+    if g.in_domain(mean):
+        return
+    bad = np.flatnonzero(~np.isfinite(values) & units)  # none if the mean is finite
+    detail = f"; it averages non-finite values at unit(s) {bad[:10].tolist()}" if bad.size else ""
+    raise DomainError(f"{what} {mean:.6g} outside the domain of g={g.name}{detail}")
 
 
 @dataclass(eq=False)
@@ -178,8 +185,8 @@ def tau_model_imputed(d: Dataset, spec: MeanSpec, fit: ZFit, g: GScale) -> AteRe
     fitted = _fitted(d, spec, fit.theta_hat)
     _, (h1, _), (h0, _) = fitted
     m1, m0 = float(np.mean(h1)), float(np.mean(h0))
-    _require_domain(g, np.array([m1]), "treated imputation average")
-    _require_domain(g, np.array([m0]), "control imputation average")
+    _require_mean_domain(g, m1, "treated imputation average", h1)
+    _require_mean_domain(g, m0, "control imputation average", h0)
     return AteResult(
         tau_hat=float(g.g(m1) - g.g(m0)),
         variance_hat=_delta_variance(spec, fit, fitted, g.gdot(m1), g.gdot(m0)),
@@ -215,17 +222,18 @@ def _ma_from_values(
         d.y - adj1 + adj1.mean(),
         d.y - adj0 + adj0.mean(),
     )
-    return _from_moments(d, group_moments(d, 1, adjusted), group_moments(d, 0, adjusted),
-                         g, kind, fits)
+    return _from_moments(d, adjusted, g, kind, fits)
 
 
-def _from_moments(d: Dataset, moments1, moments0, g: GScale, kind: str,
+def _from_moments(d: Dataset, adjusted, g: GScale, kind: str,
                   fits: tuple[ZFit, ...]) -> AteResult:
-    """g(mean1) - g(mean0) from each arm's (mean, variance) of its adjusted
-    outcomes, with the conservative variance of the sqrt(N)-scaled effect."""
-    (mean1, var1), (mean0, var0) = moments1, moments0
-    _require_domain(g, np.array([mean1]), "treated adjusted mean")
-    _require_domain(g, np.array([mean0]), "control adjusted mean")
+    """g(mean1) - g(mean0) from each arm's mean and variance of its adjusted
+    outcomes (per unit; None for the observed ones), with the conservative
+    variance of the sqrt(N)-scaled effect."""
+    (mean1, var1), (mean0, var0) = group_moments(d, 1, adjusted), group_moments(d, 0, adjusted)
+    values = d.y if adjusted is None else adjusted
+    _require_mean_domain(g, mean1, "treated adjusted mean", values, d.plan.treated.units)
+    _require_mean_domain(g, mean0, "control adjusted mean", values, d.plan.control.units)
     tau = float(g.g(mean1) - g.g(mean0))
     variance = (
         float(g.gdot(mean1)) ** 2 * var1 / d.r1
@@ -276,7 +284,7 @@ def mean_adjustment(spec: MeanSpec):
 def tau_unadjusted(d: Dataset, g: GScale) -> AteResult:
     """Difference of g(arm means): model-assisted with zero adjustment, which
     leaves each arm's outcome moments as they are."""
-    return _from_moments(d, group_moments(d, 1), group_moments(d, 0), g, "unadjusted", ())
+    return _from_moments(d, None, g, "unadjusted", ())
 
 
 def _intercept_start(d: Dataset, spec: MeanSpec) -> np.ndarray:

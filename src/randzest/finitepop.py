@@ -4,9 +4,9 @@ Potential outcomes and covariates are fixed constants; the only source of
 randomness is the treatment assignment vector.  This module holds the data
 containers (each dataset with its arm plan: the arm split and the
 intercept-augmented design, built once on first use), the finite-population
-moment calculators (mean with divisor N, variance/covariance with divisor
-N-1, per-arm moments with divisor n_z-1), the exact assignment enumerator
-used as a small-N oracle, and the seeded assignment sampler.
+variance (divisor N-1) and per-arm moments (divisor n_z-1), the exact
+assignment enumerator used as a small-N oracle, and the seeded assignment
+sampler.
 
 Reproducibility: all random draws go through a ``numpy.random.Generator``
 backed by the Philox 4x64 counter-based bit generator.  Philox output is
@@ -254,28 +254,12 @@ def observe(pot: PotentialTable, a: Assignment) -> Dataset:
 # Finite-population moments
 # ---------------------------------------------------------------------------
 
-def fp_mean(values) -> float:
-    """Population average with divisor N."""
-    return float(np.mean(np.asarray(values, dtype=float)))
-
-
 def fp_var(values) -> float:
     """Finite-population variance with divisor N-1."""
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise DegenerateInputError("variance needs at least 2 values")
     return float(np.var(arr, ddof=1))
-
-
-def fp_cov(u, v) -> float:
-    """Finite-population covariance of two vectors with divisor N-1."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise DimensionError(f"shapes differ: {u.shape} vs {v.shape}")
-    if u.size < 2:
-        raise DegenerateInputError("covariance needs at least 2 values")
-    return float(np.dot(u - u.mean(), v - v.mean()) / (u.size - 1))
 
 
 def _arm_values(d: Dataset, arm: int, values) -> np.ndarray:

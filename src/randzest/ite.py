@@ -32,7 +32,7 @@ import numpy as np
 from .errors import SpecificationError
 from .estfun import EstimatingFunction, _design_estfun, collinear
 from .finitepop import Dataset, fp_var
-from .zestim import ZFit, sandwich, solve
+from .zestim import ZFit, empirical_psi, sandwich, solve
 
 
 def pseudo_effects(d: Dataset) -> np.ndarray:
@@ -73,7 +73,6 @@ class EdfTauModel:
 
     dim: int
     forms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    description: str = ""
 
 
 def ite_estfun(model: EdfTauModel, r1: float) -> EstimatingFunction:
@@ -110,10 +109,7 @@ def normal_linear_model(n_columns: int) -> EdfTauModel:
     ``n_columns`` counts the covariate columns; the intercept is prepended
     internally, so dim = n_columns + 1.
     """
-    return EdfTauModel(
-        dim=n_columns + 1, forms=lambda t: (0.5 * t**2, t, np.ones_like(t)),
-        description="normal-linear",
-    )
+    return EdfTauModel(dim=n_columns + 1, forms=lambda t: (0.5 * t**2, t, np.ones_like(t)))
 
 
 @dataclass(eq=False)
@@ -131,16 +127,17 @@ def fit_normal_linear(d: Dataset, columns=None) -> NormalLinearFit:
     the pseudo effects on the intercept-augmented design (default design:
     the dataset covariates).  The generic solver starts there, so its fit
     reports the convergence check at the closed-form root; the sandwich
-    covariance comes from the generic machinery.
+    covariance comes from the generic machinery.  Non-finite outcomes or
+    covariates raise NumericalError naming their units.
     """
     d_fit = _with_columns(d, columns)
     design = d_fit.plan.design
+    estfun = ite_estfun(normal_linear_model(design.shape[1] - 1), d_fit.r1)
+    empirical_psi(d_fit, estfun, np.zeros(estfun.dim))  # non-finite data raise here, by unit
     gram = design.T @ design / d.n
     if collinear(gram, d.n):
         raise SpecificationError("effect-model design matrix is rank deficient")
     theta = np.linalg.solve(gram, design.T @ pseudo_effects(d_fit) / d.n)
-
-    estfun = ite_estfun(normal_linear_model(design.shape[1] - 1), d_fit.r1)
     zfit = solve(d_fit, estfun, theta, compute_sandwich=False)
     zfit.sigma_hat = sandwich(d_fit, estfun, zfit)
     return NormalLinearFit(
@@ -167,7 +164,7 @@ def ternary_model(n_columns: int, gamma: float) -> EdfTauModel:
         denom = ep + em + gamma
         return np.log(denom), (ep - em) / denom, (gamma * (ep + em) + 4.0) / denom**2
 
-    return EdfTauModel(dim=n_columns + 1, forms=forms, description=f"ternary(gamma={gamma})")
+    return EdfTauModel(dim=n_columns + 1, forms=forms)
 
 
 @dataclass(eq=False)

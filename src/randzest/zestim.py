@@ -152,9 +152,7 @@ def empirical_risk(d: Dataset, f: EstimatingFunction, theta) -> float:
     if not f.has_loss:
         raise SpecificationError("estimating function carries no losses")
     theta = np.asarray(theta, dtype=float)[None]
-    (_, k1, block1), (_, k0, block0) = _arm_kernels([d], f, True)
-    risk1, risk0 = k1.mean(theta, True)[1][0], k0.mean(theta, True)[1][0]
-    return float(block1[0].share * risk1 + block0[0].share * risk0)
+    return float(_psi_risk(_arm_kernels([d], f, True), theta, True)[1][0])
 
 
 def empirical_jacobian(d: Dataset, f: EstimatingFunction, theta) -> np.ndarray:
@@ -330,23 +328,32 @@ def _newton(kernels, theta, psi, risk, use_risk, active, tol, max_iter, theta_ca
     return theta, psi, iterations, messages, diverged
 
 
-def _zfit(d: Dataset, theta, psi, iterations, message, diverged, jac, tol) -> ZFit:
-    psi_norm = float(np.max(np.abs(psi)))
-    converged = psi_norm <= tol and not diverged
-    return ZFit(
-        theta_hat=theta,
-        converged=converged,
-        iterations=int(iterations),
-        psi_norm=psi_norm,
-        jac_at_root=jac,
-        n_units=d.n,
-        message="" if converged else message,
-    )
-
-
-def _wants_sandwich(d: Dataset, fit: ZFit) -> bool:
-    return (fit.converged and d.n1 >= 2 and d.n0 >= 2
-            and bool(np.isfinite(fit.jac_at_root).all()))
+def _fits(datasets, kernels, searched, errors, jac, tol, with_sandwich: bool) -> list:
+    """The fits of a Newton search on ``kernels`` (``searched`` is what
+    :func:`_newton` returned): per row, its start error, or its
+    :class:`ZFit` with root Jacobian ``jac[r]``.  If ``with_sandwich``, a fit
+    that converged, has two units per arm and a finite ``jac[r]`` gets the
+    sandwich of the kernels' scores at its root, or, if its bread is
+    singular, that NumericalError in its place."""
+    theta, psi, iterations, messages, diverged = searched
+    fits, wanted = list(errors), []
+    for r, d in enumerate(datasets):
+        if errors[r] is not None:
+            continue
+        psi_norm = float(np.max(np.abs(psi[r])))
+        converged = psi_norm <= tol and not diverged[r]
+        fits[r] = ZFit(theta_hat=theta[r].copy(), converged=converged,
+                       iterations=int(iterations[r]), psi_norm=psi_norm, jac_at_root=jac[r],
+                       n_units=d.n, message="" if converged else messages[r])
+        if with_sandwich and converged and min(d.n1, d.n0) >= 2 and np.isfinite(jac[r]).all():
+            wanted.append(r)
+    if wanted:
+        for r, sigma in zip(wanted, _sandwiches(jac[wanted], _meat(kernels, theta)[wanted])):
+            if isinstance(sigma, Exception):
+                fits[r] = sigma
+            else:
+                fits[r].sigma_hat = sigma
+    return fits
 
 
 def solve(
@@ -370,8 +377,8 @@ def solve(
     raises: the returned fit has ``converged=False`` and a diagnostic
     message.  Steps and trials evaluate the kernels of ``f``, built once on
     the dataset's arm plan, psi and risk together; a kernel may keep a
-    trial's evaluation for the Jacobian at the point accepted.  This is the
-    one-dataset case of the block search ``_solve_block`` runs.
+    trial's evaluation for the Jacobian at the point accepted, and the
+    sandwich reads their scores, as in the block search ``_solve_block``.
 
     ``theta_cap`` flags divergence: iterates whose max-norm exceeds it stop
     the search as non-converged.  Scores that only saturate (separated
@@ -382,7 +389,8 @@ def solve(
     Raises
     ------
     NumericalError
-        If psi is non-finite at the starting point.
+        If psi is non-finite at the starting point, or if the bread of a
+        wanted sandwich is singular.
     """
     theta = np.zeros(f.dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     if theta.shape != (f.dim,):
@@ -392,17 +400,16 @@ def solve(
 
     psi = empirical_psi(d, f, theta)  # raises NumericalError if non-finite
     risk = empirical_risk(d, f, theta) if f.has_loss else np.inf
-    theta, psi, iterations, messages, diverged = _newton(
-        _arm_kernels([d], f, True), theta[None], psi[None], np.array([risk]), f.has_loss,
-        np.ones(1, dtype=bool), tol, max_iter, theta_cap,
-    )
+    kernels = _arm_kernels([d], f, True)
+    searched = _newton(kernels, theta[None], psi[None], np.array([risk]), f.has_loss,
+                       np.ones(1, dtype=bool), tol, max_iter, theta_cap)
     try:
-        jac_at_root = empirical_jacobian(d, f, theta[0])
+        jac_at_root = empirical_jacobian(d, f, searched[0][0])
     except NumericalError:
         jac_at_root = np.full((f.dim, f.dim), np.nan)
-    fit = _zfit(d, theta[0], psi[0], iterations[0], messages[0], diverged[0], jac_at_root, tol)
-    if compute_sandwich and _wants_sandwich(d, fit):
-        fit.sigma_hat = sandwich(d, f, fit)
+    [fit] = _fits([d], kernels, searched, [None], jac_at_root[None], tol, compute_sandwich)
+    if isinstance(fit, Exception):
+        raise fit
     return fit
 
 
@@ -429,25 +436,9 @@ def _solve_block(
     errors = _score_errors(kernels, theta, psi)
     for r in np.flatnonzero(~np.isfinite(theta).all(axis=1)):
         errors[r] = NumericalError("theta0 contains non-finite entries")
-    theta, psi, iterations, messages, diverged = _newton(
-        kernels, theta, psi, risk, f.has_loss, np.array([e is None for e in errors]),
-        tol, max_iter, theta_cap,
-    )
-    jac = _jacobian(kernels, theta)
-    fits = [
-        error if error is not None else _zfit(d, theta[r].copy(), psi[r], iterations[r],
-                                              messages[r], diverged[r], jac[r], tol)
-        for r, (d, error) in enumerate(zip(datasets, errors))
-    ]
-    wanted = [r for r, fit in enumerate(fits)
-              if isinstance(fit, ZFit) and _wants_sandwich(datasets[r], fit)]
-    if wanted:
-        for r, sigma in zip(wanted, _sandwiches(jac[wanted], _meat(kernels, theta)[wanted])):
-            if isinstance(sigma, Exception):
-                fits[r] = sigma
-            else:
-                fits[r].sigma_hat = sigma
-    return fits
+    searched = _newton(kernels, theta, psi, risk, f.has_loss,
+                       np.array([e is None for e in errors]), tol, max_iter, theta_cap)
+    return _fits(datasets, kernels, searched, errors, _jacobian(kernels, searched[0]), tol, True)
 
 
 def _describe_null_directions(jac: np.ndarray) -> str:
@@ -504,8 +495,9 @@ def _sandwiches(jac: np.ndarray, meat: np.ndarray) -> list:
 def sandwich(d: Dataset, f: EstimatingFunction, fit: ZFit) -> np.ndarray:
     """Conservative sandwich covariance of sqrt(N)(theta_hat - theta).
 
-    The per-unit scores come from the arm kernels of ``f`` on the dataset's
-    plan, the same kernels :func:`solve` iterates with.
+    The per-unit scores come from arm kernels of ``f`` on the dataset's
+    plan, of the kind :func:`solve` iterates with and reads its own
+    sandwich from.
     """
     if not fit.converged:
         raise ConvergenceError("sandwich requires a converged fit")

@@ -36,7 +36,7 @@ SURFACE = {
     "DegenerateInputError": "<exception>",
     "DimensionError": "<exception>",
     "DomainError": "<exception>",
-    "EdfTauModel": "dim forms description",
+    "EdfTauModel": "dim forms",
     "EffectDecomposition": "var_tau var_u var_resid r_squared mode",
     "EffectDecomposition.is_diagnostic_only": "<property>",
     "EnumerationTooLargeError": "<exception>",
@@ -89,8 +89,6 @@ SURFACE = {
     "fit_optimal_adjustment": "d spec theta0",
     "fit_ternary": "d gamma columns",
     "fit_working_model": "d spec",
-    "fp_cov": "u v",
-    "fp_mean": "values",
     "fp_var": "values",
     "gaussian_family": "",
     "gen_population": "s rng",

@@ -114,6 +114,24 @@ class TestModelBased:
             rz.tau_model_based(shifted, spec, fit_neg, LOG)
 
 
+class TestArmMeanDomain:
+    def test_states_the_mean(self):
+        d, _ = _count_dataset()
+        shifted = rz.Dataset(d.assignment, d.y - 20.0, d.x)
+        mean = rz.group_mean(shifted, 1)
+        with pytest.raises(DomainError) as info:
+            rz.tau_unadjusted(shifted, LOG)
+        assert str(info.value) == f"treated adjusted mean {mean:.6g} outside the domain of g=log"
+
+    def test_non_finite_mean_names_its_units(self):
+        d, _ = _count_dataset()
+        unit = int(np.flatnonzero(d.z == 1)[3])
+        y = d.y.copy()
+        y[unit] = np.nan
+        with pytest.raises(DomainError, match=rf"treated adjusted mean nan .*unit\(s\) \[{unit}\]$"):
+            rz.tau_unadjusted(rz.Dataset(d.assignment, y, d.x), IDENTITY)
+
+
 class TestImputedEqualsAssisted:
     @pytest.mark.parametrize("family,scale", [
         ("gaussian", IDENTITY), ("binomial", LOGIT), ("poisson", LOG),

@@ -172,6 +172,27 @@ class TestBlockFailure:
                     assert fit.iterations == ref.iterations
                     assert _rel(fit.theta_hat, ref.theta_hat) < 1e-12
 
+    def test_a_singular_bread_fails_its_row_alone(self):
+        # the middle dataset has a covariate column of zeros, so its bread is
+        # singular and the block's batched sandwich goes slice by slice
+        gen = rz.make_rng(5)
+        x = np.column_stack([gen.standard_normal(200), np.zeros(200)])
+        y = gen.poisson(np.exp(0.3 + 0.2 * x[:, 0])).astype(float)
+        bad = rz.Dataset(rz.draw_assignment(gen, 200, 100), y, x)
+        good = [rz.Dataset(rz.draw_assignment(gen, 200, 100), gen.poisson(3.0, 200).astype(float),
+                           gen.standard_normal((200, 2))) for _ in range(2)]
+        f = rz.glm_score_estfun(rz.MeanSpec(rz.poisson_family(), True, 2))
+        start = np.zeros((3, f.dim))
+        fits = zestim._solve_block([good[0], bad, good[1]], f, start)
+        got = (type(fits[1]), str(fits[1]))
+        assert got == _raised(lambda: rz.solve(bad, f, start[0]))
+        assert got[0] is NumericalError and "bread matrix is singular" in got[1]
+        for d, fit in zip(good, fits[::2]):
+            [alone] = zestim._solve_block([d], f, start[:1])
+            assert fit.converged
+            assert (fit.theta_hat == alone.theta_hat).all()
+            assert (fit.sigma_hat == alone.sigma_hat).all()
+
 
 class TestBlockSizeInvariance:
     @pytest.mark.parametrize("name", ["table_a1", "table_a2"])

@@ -14,6 +14,8 @@ from randzest import simlab
 from randzest.cli import main
 from randzest.estfun import ModelConfig
 
+from test_ite import binary_experiment
+
 
 def write_count_csv(path, seed=71, n=80):
     gen = rz.make_rng(seed)
@@ -179,6 +181,34 @@ class TestEstimate:
         lines = fitted_csv.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "unit,fitted_effect"
         assert len(lines) == 81
+
+    @pytest.mark.parametrize("column,unit", [("x", 5), ("y", 7)])
+    def test_ite_linear_non_finite_cell_names_its_unit(self, tmp_path, capsys, column, unit):
+        d = write_count_csv(tmp_path / "d.csv", n=40)
+        y, x = d.y.copy(), d.x.copy()
+        (x[:, 0] if column == "x" else y)[unit] = np.nan
+        csv_path = _write_replication(tmp_path / "nan.csv", rz.Dataset(d.assignment, y, x))
+        code = main(["estimate", "--input", csv_path, "--estimator", "ite-linear"])
+        assert code == 2
+        assert f"unit index(es) [{unit}]" in capsys.readouterr().err
+
+    def test_ite_ternary_document(self, tmp_path, capsys):
+        d = binary_experiment()
+        csv_path = _write_replication(tmp_path / "binary.csv", d)
+        code = main(["estimate", "--input", csv_path, "--estimator", "ite-ternary"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"model", "beta", "sigma"}
+        assert doc["model"] == "ite-ternary(gamma=2.0)"
+        assert np.shape(doc["beta"]) == (3,) and np.shape(doc["sigma"]) == (3, 3)
+        assert doc["beta"] == rz.fit_ternary(d).beta_hat.tolist()
+
+    def test_ite_ternary_non_convergence_is_solver_error(self, tmp_path, capsys):
+        csv_path = _write_replication(tmp_path / "binary.csv", binary_experiment(seed=53))
+        code = main(["estimate", "--input", csv_path, "--estimator", "ite-ternary",
+                     "--gamma", "1e12"])
+        assert code == 3
+        assert "did not converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("gamma", ["nan", "inf", "0"])
     def test_bad_ternary_gamma_is_data_error(self, tmp_path, capsys, gamma):

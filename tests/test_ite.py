@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import randzest as rz
-from randzest.errors import DegenerateInputError, SpecificationError
+from randzest.errors import DegenerateInputError, NumericalError, SpecificationError
 from randzest.ite import normal_linear_model, ternary_model
 
 from test_estfun import fd_jacobian, rel_err
@@ -164,6 +164,14 @@ class TestNormalLinear:
         jac = rz.empirical_jacobian(d, f, fit.theta_hat)
         np.testing.assert_array_equal(fit.zfit.jac_at_root, jac)
 
+    @pytest.mark.parametrize("column,unit", [("x", 5), ("y", 7)])
+    def test_non_finite_cell_names_its_unit(self, column, unit):
+        d, _ = _experiment()
+        y, x = d.y.copy(), d.x.copy()
+        (x[:, 0] if column == "x" else y)[unit] = np.nan
+        with pytest.raises(NumericalError, match=rf"unit index\(es\) \[{unit}\]"):
+            rz.fit_normal_linear(rz.Dataset(d.assignment, y, x))
+
     def test_single_unit_arm_has_no_sandwich(self):
         d, _ = _experiment(n=12, n1=1)
         with pytest.raises(DegenerateInputError, match="n1=1"):
@@ -199,28 +207,29 @@ class TestNormalLinear:
             assert np.isfinite(rz.fit_normal_linear(d, columns=columns).theta_hat).all()
 
 
-class TestTernary:
-    def _binary_experiment(self, seed=51, n=400, beta=(0.3, 0.8, -0.5)):
-        # draw tau from the three-point model, then build consistent binary
-        # potential outcomes
-        gen = rz.make_rng(seed)
-        x = gen.standard_normal((n, 2))
-        design = np.column_stack([np.ones(n), x])
-        t = design @ np.asarray(beta)
-        gamma = 2.0
-        denom = np.exp(t) + np.exp(-t) + gamma
-        p_plus = np.exp(t) / denom
-        p_zero = gamma / denom
-        u = gen.random(n)
-        tau = np.where(u < p_plus, 1, np.where(u < p_plus + p_zero, 0, -1))
-        y0 = np.where(tau == 1, 0.0, np.where(tau == -1, 1.0,
-                      (gen.random(n) < 0.5).astype(float)))
-        y1 = y0 + tau
-        pot = rz.PotentialTable(y1, y0, x)
-        return rz.observe(pot, rz.draw_assignment(gen, n, n // 2))
+def binary_experiment(seed=51, n=400, beta=(0.3, 0.8, -0.5)):
+    """A binary-outcome experiment: tau drawn from the three-point model,
+    then consistent binary potential outcomes."""
+    gen = rz.make_rng(seed)
+    x = gen.standard_normal((n, 2))
+    design = np.column_stack([np.ones(n), x])
+    t = design @ np.asarray(beta)
+    gamma = 2.0
+    denom = np.exp(t) + np.exp(-t) + gamma
+    p_plus = np.exp(t) / denom
+    p_zero = gamma / denom
+    u = gen.random(n)
+    tau = np.where(u < p_plus, 1, np.where(u < p_plus + p_zero, 0, -1))
+    y0 = np.where(tau == 1, 0.0, np.where(tau == -1, 1.0,
+                  (gen.random(n) < 0.5).astype(float)))
+    y1 = y0 + tau
+    pot = rz.PotentialTable(y1, y0, x)
+    return rz.observe(pot, rz.draw_assignment(gen, n, n // 2))
 
+
+class TestTernary:
     def test_fit_recovers_signal(self):
-        d = self._binary_experiment()
+        d = binary_experiment()
         fit = rz.fit_ternary(d, gamma=2.0)
         assert fit.zfit.converged
         # slope signs match the generating coefficients
@@ -230,7 +239,7 @@ class TestTernary:
     def test_score_at_origin_is_pseudo_effect_average(self):
         # at beta = 0 the normalizer derivative u'(0) vanishes, so the
         # empirical equation reduces to -mean(tau_hat_i * x~_i)
-        d = self._binary_experiment(seed=52)
+        d = binary_experiment(seed=52)
         model = ternary_model(2, 2.0)
         f = rz.ite_estfun(model, d.r1)
         design = np.column_stack([np.ones(d.n), d.x])
@@ -240,7 +249,7 @@ class TestTernary:
         )
 
     def test_huge_gamma_degenerates(self):
-        d = self._binary_experiment(seed=53)
+        d = binary_experiment(seed=53)
         fit = rz.fit_ternary(d, gamma=1e12)
         assert not fit.zfit.converged
 
@@ -250,7 +259,7 @@ class TestTernary:
             rz.fit_ternary(d)
 
     def test_rejects_bad_gamma(self):
-        d = self._binary_experiment()
+        d = binary_experiment()
         for gamma in (0.0, np.nan, np.inf):
             with pytest.raises(SpecificationError, match="gamma"):
                 rz.fit_ternary(d, gamma=gamma)

@@ -255,6 +255,17 @@ class TestSolverPaths:
         self._check_both_paths(monkeypatch, "_gradient_search", d,
                                rz.squared_loss_estfun(spec), theta0)
 
+    def test_sandwich_reads_the_search_kernels(self, monkeypatch, rng):
+        # kernels are built for the start's risk, the search and the root
+        # Jacobian; the sandwich reads the search's
+        d, spec = _glm_data(rng, "poisson", True)
+        f = rz.glm_score_estfun(spec)
+        builds = self._count(monkeypatch, "_arm_kernels")
+        sandwiches = self._count(monkeypatch, "sandwich")
+        fit = rz.solve(d, f)
+        assert fit.converged and (len(builds), len(sandwiches)) == (3, 0)
+        np.testing.assert_array_equal(fit.sigma_hat, rz.sandwich(d, f, fit))
+
     @pytest.mark.parametrize("method", ["mle", "squared-loss"])
     def test_ridge_retry(self, monkeypatch, method):
         # a covariate column of zeros: the Jacobian is singular in its slots
