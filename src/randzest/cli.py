@@ -20,12 +20,14 @@ from typing import Optional
 
 import numpy as np
 
-from .ate import gscale, tau_unadjusted
+from .ate import _SCALES, gscale, tau_unadjusted
 from .errors import ConvergenceError, RandzestError
 from .estfun import parse_model_spec
 from .finitepop import read_dataset_csv, read_potential_csv
 from .ite import fit_normal_linear, fit_ternary
 from .simlab import (
+    _KIND_DISPLAY,
+    _METHODS,
     EstimatorConfig,
     build_estimator,
     exact_randomization_distribution,
@@ -38,9 +40,7 @@ from .zestim import _normal_critical
 DATA_ERROR = 2
 SOLVER_ERROR = 3
 
-_ESTIMATOR_CHOICES = (
-    "b", "i", "ma", "ai", "unadjusted", "ite-linear", "ite-ternary",
-)
+_ESTIMATOR_CHOICES = (*_KIND_DISPLAY, "ite-linear", "ite-ternary")
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -146,14 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="family[:interact][:kappa=<v>], e.g. poisson:interact",
     )
     est.add_argument(
-        "--method", default="mle", choices=("mle", "squared-loss"),
+        "--method", default="mle", choices=_METHODS,
         help="fit of the ma model, and the default METHOD of ai imputations",
     )
     est.add_argument(
         "--imputation", action="append",
         help="AI first-stage model, MODELSPEC[@METHOD]; repeatable",
     )
-    est.add_argument("--g", default="identity", choices=("identity", "log", "logit"))
+    est.add_argument("--g", default="identity", choices=tuple(_SCALES))
     est.add_argument("--alpha", type=float, default=0.05)
     est.add_argument("--gamma", type=float, default=2.0, help="ternary model constant")
     est.add_argument("--fitted-csv", help="ite-linear: also dump per-unit fitted effects")
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate", help="exact randomization distribution")
     enum.add_argument("--input", required=True, help="oracle CSV with y1,y0,x1..")
     enum.add_argument("--n1", required=True, type=int, help="treated count")
-    enum.add_argument("--g", default="identity", choices=("identity", "log", "logit"))
+    enum.add_argument("--g", default="identity", choices=tuple(_SCALES))
     enum.add_argument("--cap", type=int, default=10**6)
     enum.add_argument("--output", help="write the JSON document here instead of stdout")
     enum.set_defaults(func=cmd_enumerate)

@@ -91,10 +91,6 @@ class PotentialTable:
     def n(self) -> int:
         return len(self.y1)
 
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class Assignment:

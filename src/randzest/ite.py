@@ -176,8 +176,10 @@ class TernaryFit:
 
 def fit_ternary(d: Dataset, gamma: float = 2.0, columns=None) -> TernaryFit:
     """Fit the ternary effect model to a binary-outcome experiment."""
-    if not np.isin(d.y, (0.0, 1.0)).all():
-        raise SpecificationError("ternary effect model needs outcomes in {0, 1}")
+    bad = np.flatnonzero(~np.isin(d.y, (0.0, 1.0)))[:10]
+    if bad.size:
+        raise SpecificationError("ternary effect model needs outcomes in {0, 1}, got "
+                                 f"{d.y[bad].tolist()} at unit index(es) {bad.tolist()}")
     d_fit = _with_columns(d, columns)
     model = ternary_model(d_fit.x.shape[1], gamma)
     fit = solve(d_fit, ite_estfun(model, d_fit.r1))

@@ -50,8 +50,10 @@ class ZFit:
     """Result of a Z-estimation solve.
 
     ``sigma_hat`` is the conservative sandwich covariance of the
-    sqrt(N)-scaled estimator; it is filled in by :func:`solve` whenever the
-    fit converged and both arms have at least two units.
+    sqrt(N)-scaled estimator.  :func:`solve` fills it in when asked
+    (``compute_sandwich``), the fit converged, both arms have at least two
+    units and the root Jacobian is finite; it raises NumericalError instead
+    if that Jacobian, the sandwich's bread, is singular.
     """
 
     theta_hat: np.ndarray
@@ -181,28 +183,23 @@ def _backtrack(kernels, trial, theta, direction, lam, searching, use_risk, accep
     ``accept(psi, risk, lam)`` holds for it or lam falls below the minimum
     step.  Every trial evaluates the whole block at ``trial``, whose other
     rows keep their last point, so the kernels end on each row's last trial.
-    Returns (found, psi, risk), the last two valid on the found rows;
-    ``trial`` holds their points."""
-    found = psi_new = risk_new = None
+    Returns found and the last trial's (psi, risk), None if no row searches;
+    they are valid on the found rows, whose points ``trial`` holds."""
+    found = np.zeros(len(theta), dtype=bool)
+    psi = risk = None
     searching = searching & (lam >= _MIN_STEP)
     while searching.any():
         rows = slice(None) if searching.all() else searching
         trial[rows] = theta[rows] - lam[rows, None] * direction[rows]
         psi, risk = _psi_risk(kernels, trial, use_risk)
         ok = searching & accept(psi, risk, lam)
-        if found is None:
-            found, psi_new, risk_new = ok, psi, risk
-        else:
-            psi_new[ok], risk_new[ok] = psi[ok], risk[ok]
-            found |= ok
-        if ok.all():
-            break
+        if ok.all():  # every row searched and accepted: found is still all False
+            return ok, psi, risk
+        found |= ok
         searching &= ~ok
-        lam = np.where(searching, 0.5 * lam, lam)
+        lam = 0.5 * lam
         searching &= lam >= _MIN_STEP
-    if found is None:
-        return np.zeros(len(theta), dtype=bool), None, None
-    return found, psi_new, risk_new
+    return found, psi, risk
 
 
 def _gradient_search(kernels, trial, theta, psi, risk, searching):
@@ -219,10 +216,24 @@ def _gradient_search(kernels, trial, theta, psi, risk, searching):
                       True, accept)
 
 
+# why a Newton search row stopped (_RUNNING at the end: out of iterations), and its message
+_RUNNING, _CONVERGED, _JACOBIAN_FAILED, _SINGULAR, _NONFINITE_STEP, _NO_DESCENT, \
+    _DIVERGED = range(7)
+_STOP_MESSAGES = (
+    "no convergence in {max_iter} iterations (|theta| = {norm:.3g}, possible divergence)",
+    "",
+    "Jacobian evaluation failed: {error}",
+    "Jacobian singular even after ridge regularization",
+    "Newton step is non-finite",
+    "line search failed to reduce the psi norm",
+    "diverging theta: max |theta_k| = {top:.3g} exceeds the cap {theta_cap:.3g}",
+)
+
+
 def _newton_steps(jac, psi, active, stop) -> np.ndarray:
     """J^-1 Psi_hat of the active rows by one batched solve; if that meets a
     singular Jacobian, row by row with a ridge retry.  Rows that still fail
-    are stopped."""
+    are stopped as ``_SINGULAR``."""
     try:
         if active.all():
             return np.linalg.solve(jac, psi[:, :, None])[:, :, 0]
@@ -238,7 +249,7 @@ def _newton_steps(jac, psi, active, stop) -> np.ndarray:
                 try:
                     step[r] = np.linalg.solve(_ridge(jac[r]), psi[r])
                 except np.linalg.LinAlgError:
-                    stop(r, "Jacobian singular even after ridge regularization")
+                    stop(r, _SINGULAR)
     return step
 
 
@@ -248,42 +259,38 @@ def _newton(kernels, theta, psi, risk, use_risk, active, tol, max_iter, theta_ca
     theta, psi (R, p) and risk (R,) are the starting points and their
     values; rows outside the ``active`` mask are left where they are.  Each
     row keeps its own step length, acceptance tests, gradient fallback,
-    ridge retry, divergence stop, iteration count and message; a Jacobian
-    that raises NumericalError stops every active row.  Returns (theta, psi,
-    iterations, messages, diverged).
+    ridge retry, iterations and stop code, whose one message is written when
+    the search ends; a Jacobian that raises NumericalError stops every
+    active row.  Returns (theta, psi, iterations, messages, diverged).
     """
     theta, psi, risk, active = theta.copy(), psi.copy(), risk.copy(), active.copy()
     n_rows = len(theta)
     iterations = np.full(n_rows, max_iter)
-    messages = [""] * n_rows
-    diverged = np.zeros(n_rows, dtype=bool)
+    code = np.full(n_rows, _RUNNING)
+    error = None  # the Jacobian's NumericalError
     last = theta  # the block's last evaluated point; theta on the active rows
     full_step = np.ones(n_rows)
-    it = 0
 
-    def stop(r, message):
-        active[r], iterations[r], messages[r] = False, it, message
-
-    def stop_all(rows, message):
-        for r in rows.nonzero()[0] if rows.any() else ():
-            stop(r, message(r))
+    def stop(rows, reason):
+        code[rows] = reason
+        iterations[rows] = it - 1 if reason == _CONVERGED else it
+        active[rows] = False  # last: ``rows`` may be ``active`` itself
 
     for it in range(1, max_iter + 1):
         done = active & (np.abs(psi).max(axis=1) <= tol)
         if done.any():
-            iterations[done] = it - 1
-            active &= ~done
+            stop(done, _CONVERGED)
         if not active.any():
             break
         try:
             jac = _jacobian(kernels, last)
         except NumericalError as exc:
-            stop_all(active.copy(), lambda r: f"Jacobian evaluation failed: {exc}")
+            error = exc
+            stop(active, _JACOBIAN_FAILED)
             break
         step = _newton_steps(jac, psi, active, stop)
         if not np.isfinite(step).all():
-            stop_all(active & ~np.isfinite(step).all(axis=1),
-                     lambda r: "Newton step is non-finite")
+            stop(active & ~np.isfinite(step).all(axis=1), _NONFINITE_STEP)
         if not active.any():
             break
 
@@ -304,38 +311,33 @@ def _newton(kernels, theta, psi, risk, use_risk, active, tol, max_iter, theta_ca
             if use_risk and lost.any():
                 more, more_psi, more_risk = _gradient_search(kernels, trial, theta, psi, risk,
                                                              lost)
-                if more.any():
-                    psi_new[more], risk_new[more] = more_psi[more], more_risk[more]
-                    found = found | more
+                if more.any():  # the last gradient trial holds every found row too
+                    found, psi_new, risk_new = found | more, more_psi, more_risk
                     lost &= ~more
-            stop_all(lost, lambda r: "line search failed to reduce the psi norm")
+            stop(lost, _NO_DESCENT)
             theta[found], psi[found], risk[found] = trial[found], psi_new[found], risk_new[found]
         last = trial
         over = np.abs(theta).max(axis=1) > theta_cap
         if over.any():
-            over &= found
-            diverged |= over
-            stop_all(over, lambda r: (
-                f"diverging theta: max |theta_k| = {np.max(np.abs(theta[r])):.3g} "
-                f"exceeds the cap {theta_cap:.3g}"
-            ))
-    else:
-        for r in active.nonzero()[0]:
-            messages[r] = (
-                f"no convergence in {max_iter} iterations "
-                f"(|theta| = {np.linalg.norm(theta[r]):.3g}, possible divergence)"
-            )
-    return theta, psi, iterations, messages, diverged
+            stop(over & found, _DIVERGED)
+    messages = [_STOP_MESSAGES[c].format(max_iter=max_iter, norm=np.linalg.norm(t), error=error,
+                                         top=np.max(np.abs(t)), theta_cap=theta_cap)
+                for c, t in zip(code, theta)]
+    return theta, psi, iterations, messages, code == _DIVERGED
 
 
-def _fits(datasets, kernels, searched, errors, jac, tol, with_sandwich: bool) -> list:
+def _fits(datasets, kernels, searched, errors, jacobian, tol, with_sandwich: bool) -> list:
     """The fits of a Newton search on ``kernels`` (``searched`` is what
     :func:`_newton` returned): per row, its start error, or its
-    :class:`ZFit` with root Jacobian ``jac[r]``.  If ``with_sandwich``, a fit
-    that converged, has two units per arm and a finite ``jac[r]`` gets the
-    sandwich of the kernels' scores at its root, or, if its bread is
-    singular, that NumericalError in its place."""
+    :class:`ZFit` with root Jacobian ``jacobian(theta)[r]``, NaN if that
+    raises NumericalError.  If ``with_sandwich``, a converged fit with two
+    units per arm and a finite root Jacobian gets the sandwich of the
+    kernels' scores at its root, or its singular bread's NumericalError."""
     theta, psi, iterations, messages, diverged = searched
+    try:
+        jac = jacobian(theta)
+    except NumericalError:
+        jac = np.full(theta.shape + theta.shape[-1:], np.nan)
     fits, wanted = list(errors), []
     for r, d in enumerate(datasets):
         if errors[r] is not None:
@@ -374,11 +376,12 @@ def solve(
     empirical risk does not increase); if no Newton step passes, a step
     along -Psi_hat with an Armijo risk condition is tried.  A singular
     Jacobian is retried once with a scaled ridge.  Failure to converge never
-    raises: the returned fit has ``converged=False`` and a diagnostic
-    message.  Steps and trials evaluate the kernels of ``f``, built once on
-    the dataset's arm plan, psi and risk together; a kernel may keep a
-    trial's evaluation for the Jacobian at the point accepted, and the
-    sandwich reads their scores, as in the block search ``_solve_block``.
+    raises: the search records why it stopped as a code, and the returned
+    fit has ``converged=False`` and that code's one message.  Steps and
+    trials evaluate the kernels of ``f``, built once on the dataset's arm
+    plan, psi and risk together; a kernel may keep a trial's evaluation for
+    the Jacobian at the point accepted, and the sandwich reads their scores,
+    as in the block search ``_solve_block``.
 
     ``theta_cap`` flags divergence: iterates whose max-norm exceeds it stop
     the search as non-converged.  Scores that only saturate (separated
@@ -403,11 +406,8 @@ def solve(
     kernels = _arm_kernels([d], f, True)
     searched = _newton(kernels, theta[None], psi[None], np.array([risk]), f.has_loss,
                        np.ones(1, dtype=bool), tol, max_iter, theta_cap)
-    try:
-        jac_at_root = empirical_jacobian(d, f, searched[0][0])
-    except NumericalError:
-        jac_at_root = np.full((f.dim, f.dim), np.nan)
-    [fit] = _fits([d], kernels, searched, [None], jac_at_root[None], tol, compute_sandwich)
+    [fit] = _fits([d], kernels, searched, [None],
+                  lambda roots: empirical_jacobian(d, f, roots[0])[None], tol, compute_sandwich)
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -438,7 +438,7 @@ def _solve_block(
         errors[r] = NumericalError("theta0 contains non-finite entries")
     searched = _newton(kernels, theta, psi, risk, f.has_loss,
                        np.array([e is None for e in errors]), tol, max_iter, theta_cap)
-    return _fits(datasets, kernels, searched, errors, _jacobian(kernels, searched[0]), tol, True)
+    return _fits(datasets, kernels, searched, errors, partial(_jacobian, kernels), tol, True)
 
 
 def _describe_null_directions(jac: np.ndarray) -> str:

@@ -63,7 +63,6 @@ SURFACE = {
     "NumericalError": "<exception>",
     "PotentialTable": "y1 y0 x",
     "PotentialTable.n": "<property>",
-    "PotentialTable.n_covariates": "<property>",
     "RandzestError": "<exception>",
     "Scenario": "dgp n n1 estimators g seed replications alpha custom_generator",
     "SpecificationError": "<exception>",

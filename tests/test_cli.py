@@ -210,6 +210,16 @@ class TestEstimate:
         assert code == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_ite_ternary_non_binary_outcome_names_its_unit(self, tmp_path, capsys):
+        d = binary_experiment(n=40)
+        y = d.y.copy()
+        y[7] = np.nan
+        csv_path = _write_replication(tmp_path / "nan.csv", rz.Dataset(d.assignment, y, d.x))
+        code = main(["estimate", "--input", csv_path, "--estimator", "ite-ternary"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "outcomes in {0, 1}, got [nan] at unit index(es) [7]" in err
+
     @pytest.mark.parametrize("gamma", ["nan", "inf", "0"])
     def test_bad_ternary_gamma_is_data_error(self, tmp_path, capsys, gamma):
         gen = rz.make_rng(9)

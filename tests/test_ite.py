@@ -258,6 +258,21 @@ class TestTernary:
         with pytest.raises(SpecificationError, match="binary|\\{0, 1\\}"):
             rz.fit_ternary(d)
 
+    def test_non_binary_outcomes_name_their_units(self):
+        d = binary_experiment(n=40)
+        y = d.y.copy()
+        y[7] = np.nan
+        with pytest.raises(SpecificationError) as info:
+            rz.fit_ternary(rz.Dataset(d.assignment, y, d.x))
+        assert str(info.value) == (
+            "ternary effect model needs outcomes in {0, 1}, got [nan] at unit index(es) [7]")
+        y[:12] = 2.0
+        with pytest.raises(SpecificationError) as info:
+            rz.fit_ternary(rz.Dataset(d.assignment, y, d.x))
+        assert str(info.value) == (
+            "ternary effect model needs outcomes in {0, 1}, got " + str([2.0] * 10)
+            + " at unit index(es) " + str(list(range(10))))
+
     def test_rejects_bad_gamma(self):
         d = binary_experiment()
         for gamma in (0.0, np.nan, np.inf):

@@ -296,6 +296,63 @@ class TestSolverPaths:
             assert evaluations
 
 
+def _scalar_estfun(psi, jac):
+    """p = 1, the same per-unit psi(y, t) and Jacobian jac(y, t) in both
+    arms, and no kernel."""
+
+    def unit_psi(y, x, theta):
+        return (psi(y, theta[0]) + 0.0 * y)[:, None]
+
+    def unit_jac(y, x, theta):
+        return (jac(y, theta[0]) + 0.0 * y)[:, None, None]
+
+    return rz.EstimatingFunction(dim=1, psi1=unit_psi, psi0=unit_psi, jac1=unit_jac,
+                                 jac0=unit_jac)
+
+
+def _jacobian_fails(y, t):
+    raise NumericalError("boom")
+
+
+# (psi, jac, theta0, solve options, iterations, message); psi(t) = t - y has
+# its root at the outcome mean 3.5
+STOPS = {
+    "jacobian-fails": (lambda y, t: t - y, _jacobian_fails, 0.0, {}, 1,
+                       "Jacobian evaluation failed: boom"),
+    "step-non-finite": (lambda y, t: t - y, lambda y, t: np.nan, 0.0, {}, 1,
+                        "Newton step is non-finite"),
+    "no-descent": (lambda y, t: t * t + 1.0, lambda y, t: 2.0 * t, 1.0, {}, 2,
+                   "line search failed to reduce the psi norm"),
+    "singular": (lambda y, t: t - y, lambda y, t: 0.0, 0.0, {}, 1,
+                 "Jacobian singular even after ridge regularization"),
+    "diverging": (lambda y, t: t - y, lambda y, t: 1.0, 0.0, dict(theta_cap=1.0), 1,
+                  "diverging theta: max |theta_k| = 3.5 exceeds the cap 1"),
+    "max-iter": (lambda y, t: np.exp(t) - y, lambda y, t: np.exp(t), 0.0, dict(max_iter=1), 1,
+                 "no convergence in 1 iterations (|theta| = 1.25, possible divergence)"),
+}
+
+
+class TestStopReasons:
+    """Each reason the Newton search stops a row without converging, on six
+    units: ``solve`` and a block of one stop alike."""
+
+    @pytest.mark.parametrize("name", STOPS)
+    def test_solve_and_block_stop_alike(self, monkeypatch, name):
+        psi, jac, theta0, kwargs, iterations, message = STOPS[name]
+        if name == "singular":  # a ridge that leaves the zero Jacobian singular
+            monkeypatch.setattr(zestim, "_ridge", lambda jac: jac)
+        d = rz.Dataset(rz.Assignment([1, 1, 1, 0, 0, 0]), np.arange(1.0, 7.0))
+        f = _scalar_estfun(psi, jac)
+        fit = rz.solve(d, f, [theta0], **kwargs)
+        [block] = zestim._solve_block([d], f, [[theta0]], **kwargs)
+        assert (fit.iterations, fit.converged, fit.message) == (iterations, False, message)
+        assert (block.iterations, block.converged, block.message) == \
+            (fit.iterations, fit.converged, fit.message)
+        np.testing.assert_array_equal(block.theta_hat, fit.theta_hat)
+        np.testing.assert_array_equal(block.jac_at_root, fit.jac_at_root)
+        assert fit.sigma_hat is None and block.sigma_hat is None
+
+
 class TestLossContract:
     """For every estimating function the package builds, psi is the
     theta-gradient of the empirical risk (the solver's gradient fallback
