@@ -326,7 +326,9 @@ def fit_working_models(datasets: Sequence[Dataset], specs: Sequence[MeanSpec]) -
 
     The datasets share their arm sizes and the specs one model, bound to
     each dataset (negbin dispersions may differ).  Returns, per dataset, its
-    fit or the error its search raised, independent of the block.
+    fit or the error its search raised, such as a one-unit arm's
+    DegenerateInputError.  The kernel of a GLM score never raises in its
+    Jacobian, so a dataset's result does not depend on the block.
     """
     theta0 = [_intercept_start(d, spec) for d, spec in zip(datasets, specs)]
     return _solve_block(datasets, glm_score_estfun(_block_spec(specs)), theta0)

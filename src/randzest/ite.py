@@ -175,7 +175,11 @@ class TernaryFit:
 
 
 def fit_ternary(d: Dataset, gamma: float = 2.0, columns=None) -> TernaryFit:
-    """Fit the ternary effect model to a binary-outcome experiment."""
+    """Fit the ternary effect model to a binary-outcome experiment.
+
+    A converged fit carries its sandwich covariance; like :func:`solve`,
+    this raises DegenerateInputError if an arm has fewer than two units.
+    """
     bad = np.flatnonzero(~np.isin(d.y, (0.0, 1.0)))[:10]
     if bad.size:
         raise SpecificationError("ternary effect model needs outcomes in {0, 1}, got "

@@ -62,6 +62,13 @@ _KIND_DISPLAY = {
     "ai": "AI",
     "unadjusted": "",
 }
+_METHODS = ("mle", "squared-loss")
+
+
+def _pairs(config: "EstimatorConfig") -> tuple:
+    """The (model, method) pairs of the fits an estimator reads, in order."""
+    return {"ai": config.imputations, "unadjusted": ()}.get(
+        config.kind, ((config.model, config.method),))
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,8 @@ class EstimatorConfig:
     maximum-likelihood fit.  ``imputations`` configures the first stage of
     the adjusted-imputation estimator (kind ai) as ``(ModelConfig, method)``
     pairs.  Every row estimates on its scenario's scale ``g``, the scale of
-    the truth it is scored against.
+    the truth it is scored against.  A config is checked when it is made:
+    a bad one raises SpecificationError, so no estimator is built from it.
     """
 
     kind: str  # b | i | ma | ai | unadjusted
@@ -85,6 +93,25 @@ class EstimatorConfig:
     model_label: Optional[str] = None
     interaction_label: Optional[str] = None
     estimation_label: Optional[str] = None
+
+    def __post_init__(self):
+        kind, method = self.kind, self.method
+        if kind not in _KIND_DISPLAY:
+            raise SpecificationError(f"unknown 'kind' {kind!r}; use one of {sorted(_KIND_DISPLAY)}")
+        if method != "mle" and kind != "ma":
+            raise SpecificationError(f"estimator kind '{kind}' takes method 'mle' only, got '{method}'")
+        if kind == "ai" and not self.imputations:
+            raise SpecificationError("estimator kind 'ai' needs imputations")
+        if kind in ("b", "i", "ma") and self.model is None:
+            raise SpecificationError(f"estimator kind '{kind}' needs a model")
+        for model, method in _pairs(self):
+            if method not in _METHODS:
+                raise SpecificationError(f"unknown method '{method}'; use one of {_METHODS}")
+            if method == "squared-loss" and not model.interaction:
+                raise SpecificationError(
+                    f"squared-loss estimation of a {model.family_name} mean needs disjoint "
+                    "per-arm parameters; use a model with interaction"
+                )
 
     def labels(self) -> tuple[str, str, str]:
         model = self.model_label
@@ -165,18 +192,7 @@ def gen_population(s: Scenario, rng: np.random.Generator) -> PotentialTable:
 # Fit tables and estimators that read them
 # ---------------------------------------------------------------------------
 
-_METHODS = ("mle", "squared-loss")
 _FAILURE_KINDS = (RandzestError, np.linalg.LinAlgError, FloatingPointError)
-
-
-def _check_method(model: ModelConfig, method: str) -> None:
-    if method not in _METHODS:
-        raise SpecificationError(f"unknown method '{method}'; use one of {_METHODS}")
-    if method == "squared-loss" and not model.interaction:
-        raise SpecificationError(
-            f"squared-loss estimation of a {model.family_name} mean needs disjoint "
-            "per-arm parameters; use a model with interaction"
-        )
 
 
 def _start(method: str, model: ModelConfig) -> Optional[ModelConfig]:
@@ -190,9 +206,7 @@ def _reads(config: EstimatorConfig) -> list[tuple[str, ModelConfig]]:
     """The (method, model) keys of the fits an estimator reads, in order; a
     squared-loss fit is keyed by the model it starts from, whose mean it
     fits (a negbin one is the Poisson one)."""
-    pairs = {"ai": config.imputations, "unadjusted": ()}.get(
-        config.kind, ((config.model, config.method),))
-    return [(method, _start(method, model) or model) for model, method in pairs]
+    return [(method, _start(method, model) or model) for model, method in _pairs(config)]
 
 
 def _fit_list(configs) -> dict:
@@ -263,27 +277,12 @@ def build_estimator(
     """Compile a config into an ``estimate(dataset, fits)`` callable on the
     scale ``g`` that reads the dataset's :func:`fit_tables` table and raises
     the error stored for a fit it reads."""
-    kind, model, method = config.kind, config.model, config.method
-    if kind not in _KIND_DISPLAY:
-        raise SpecificationError(f"unknown estimator kind '{kind}'")
-    if method != "mle" and kind != "ma":
-        raise SpecificationError(f"estimator kind '{kind}' takes method 'mle' only, got '{method}'")
-
+    kind, keys = config.kind, _reads(config)
     if kind == "unadjusted":
         return lambda d, fits: tau_unadjusted(d, g)
-
     if kind == "ai":
-        if not config.imputations:
-            raise SpecificationError("estimator kind 'ai' needs imputations")
-        for imputation in config.imputations:
-            _check_method(*imputation)
-        keys = _reads(config)
         return lambda d, fits: adjusted_imputation(d, [_read(fits, key) for key in keys], g)
-
-    if model is None:
-        raise SpecificationError(f"estimator kind '{kind}' needs a model")
-    _check_method(model, method)
-    [key] = _reads(config)
+    [key] = keys
 
     def estimate(d: Dataset, fits: dict) -> AteResult:
         spec, fit = _read(fits, key)
@@ -470,12 +469,26 @@ def exact_randomization_distribution(
 # Scenario files (JSON)
 # ---------------------------------------------------------------------------
 
+_TOP_LEVEL_KEYS = ("N", "alpha", "dgp", "estimators", "g", "n1", "replications", "seed")
+_MODEL_KEYS = ("family", "interaction", "kappa", "method")
+_ENTRY_KEYS = ("estimation", "imputations", "interaction_label", "kind", "model", *_MODEL_KEYS)
+
+
+def _check_keys(where: str, raw: dict, allowed: tuple) -> None:
+    unknown = sorted(set(raw.keys()) - set(allowed))
+    if unknown:
+        raise DataError(f"{where}: unknown key {unknown[0]!r}; use one of {sorted(allowed)}")
+
+
 def _model_from_dict(where: str, raw: dict, imputation: bool):
     """The (working model, fitting method) pair of a scenario entry.
 
-    An ``imputations`` entry needs a ``family`` and its ``interaction``
-    defaults to true; a top-level entry without a family has no model.
+    An ``imputations`` entry needs a ``family``, takes no other keys than
+    the model's, and its ``interaction`` defaults to true; a top-level entry
+    without a family has no model.
     """
+    if imputation:
+        _check_keys(where, raw, _MODEL_KEYS)
     method = raw.get("method", "mle")
     if method not in _METHODS:
         raise DataError(f"{where}: unknown 'method' {method!r}; use one of {_METHODS}")
@@ -497,43 +510,38 @@ def _model_from_dict(where: str, raw: dict, imputation: bool):
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario a JSON document describes.
 
-    The top-level ``g`` and every estimator entry are checked here, by
-    building the estimator, so a bad one is a DataError naming its location
-    rather than a failure inside :func:`run_study`.
+    Unknown keys, the top-level ``g`` and every estimator entry are checked
+    here, so a bad one is a DataError naming its location rather than a
+    failure inside :func:`run_study`; an entry is checked by making its
+    :class:`EstimatorConfig`.
     """
     try:
+        _check_keys("top level", doc, _TOP_LEVEL_KEYS)
         try:
-            g = gscale(doc.get("g", "log"))
+            gscale(doc.get("g", "log"))
         except SpecificationError as exc:
             raise DataError(f"bad top-level 'g': {exc}") from None
         configs = []
         for j, e in enumerate(doc["estimators"]):
-            if e["kind"] not in _KIND_DISPLAY:
-                raise DataError(
-                    f"estimators[{j}]: unknown 'kind' {e['kind']!r}; "
-                    f"use one of {sorted(_KIND_DISPLAY)}"
-                )
+            where = f"estimators[{j}]"
             if "g" in e:
-                raise DataError(f"estimators[{j}]: key 'g' ({e['g']!r}) is not allowed; "
+                raise DataError(f"{where}: key 'g' ({e['g']!r}) is not allowed; "
                                 "every row estimates on the top-level 'g'")
-            model, method = _model_from_dict(f"estimators[{j}]", e, imputation=False)
-            config = EstimatorConfig(
-                kind=e["kind"],
-                model=model,
-                method=method,
-                imputations=tuple(
-                    _model_from_dict(f"estimators[{j}].imputations[{k}]", imp, imputation=True)
-                    for k, imp in enumerate(e.get("imputations", ()))
-                ),
-                model_label=e.get("model"),
-                interaction_label=e.get("interaction_label"),
-                estimation_label=e.get("estimation"),
+            _check_keys(where, e, _ENTRY_KEYS)
+            model, method = _model_from_dict(where, e, imputation=False)
+            imputations = tuple(
+                _model_from_dict(f"{where}.imputations[{k}]", imp, imputation=True)
+                for k, imp in enumerate(e.get("imputations", ()))
             )
             try:
-                build_estimator(config, g)
+                configs.append(EstimatorConfig(
+                    kind=e["kind"], model=model, method=method, imputations=imputations,
+                    model_label=e.get("model"),
+                    interaction_label=e.get("interaction_label"),
+                    estimation_label=e.get("estimation"),
+                ))
             except SpecificationError as exc:
-                raise DataError(f"estimators[{j}]: {exc}") from None
-            configs.append(config)
+                raise DataError(f"{where}: {exc}") from None
         return Scenario(
             dgp=doc["dgp"],
             n=int(doc["N"]),

@@ -51,9 +51,10 @@ class ZFit:
 
     ``sigma_hat`` is the conservative sandwich covariance of the
     sqrt(N)-scaled estimator.  :func:`solve` fills it in when asked
-    (``compute_sandwich``), the fit converged, both arms have at least two
-    units and the root Jacobian is finite; it raises NumericalError instead
-    if that Jacobian, the sandwich's bread, is singular.
+    (``compute_sandwich``), the fit converged and the root Jacobian is
+    finite; it raises DegenerateInputError instead if an arm has fewer than
+    two units, and NumericalError if that Jacobian, the sandwich's bread, is
+    singular.
     """
 
     theta_hat: np.ndarray
@@ -330,9 +331,10 @@ def _fits(datasets, kernels, searched, errors, jacobian, tol, with_sandwich: boo
     """The fits of a Newton search on ``kernels`` (``searched`` is what
     :func:`_newton` returned): per row, its start error, or its
     :class:`ZFit` with root Jacobian ``jacobian(theta)[r]``, NaN if that
-    raises NumericalError.  If ``with_sandwich``, a converged fit with two
-    units per arm and a finite root Jacobian gets the sandwich of the
-    kernels' scores at its root, or its singular bread's NumericalError."""
+    raises NumericalError.  If ``with_sandwich``, a converged fit becomes
+    the DegenerateInputError of an arm with fewer than two units; else, if
+    its root Jacobian is finite, it gets the sandwich of the kernels' scores
+    at its root, or its singular bread's NumericalError."""
     theta, psi, iterations, messages, diverged = searched
     try:
         jac = jacobian(theta)
@@ -347,8 +349,11 @@ def _fits(datasets, kernels, searched, errors, jacobian, tol, with_sandwich: boo
         fits[r] = ZFit(theta_hat=theta[r].copy(), converged=converged,
                        iterations=int(iterations[r]), psi_norm=psi_norm, jac_at_root=jac[r],
                        n_units=d.n, message="" if converged else messages[r])
-        if with_sandwich and converged and min(d.n1, d.n0) >= 2 and np.isfinite(jac[r]).all():
-            wanted.append(r)
+        if with_sandwich and converged:
+            if min(d.n1, d.n0) < 2:
+                fits[r] = _too_few_units(d)
+            elif np.isfinite(jac[r]).all():
+                wanted.append(r)
     if wanted:
         for r, sigma in zip(wanted, _sandwiches(jac[wanted], _meat(kernels, theta)[wanted])):
             if isinstance(sigma, Exception):
@@ -391,6 +396,9 @@ def solve(
 
     Raises
     ------
+    DegenerateInputError
+        If a sandwich is wanted for a converged fit and an arm has fewer
+        than two units.
     NumericalError
         If psi is non-finite at the starting point, or if the bread of a
         wanted sandwich is singular.
@@ -428,14 +436,15 @@ def _solve_block(
     ``theta0`` is (R, p), one start per dataset.  Starts, the Jacobian at
     the root and the sandwich are read from the block kernels of ``f``.
     Returns, per dataset, its :class:`ZFit` or the error :func:`solve`
-    would raise on it; a dataset's result does not depend on the others.
+    would raise on it.  A dataset's result does not depend on the others,
+    except that a Jacobian raising NumericalError stops every active row;
+    only the per-unit callables of an estimating function without a kernel
+    can raise there, and the package's block callers never use one.
     """
     theta = np.array(theta0, dtype=float)
     kernels = _arm_kernels(datasets, f, True)
     psi, risk = _psi_risk(kernels, theta, f.has_loss)
     errors = _score_errors(kernels, theta, psi)
-    for r in np.flatnonzero(~np.isfinite(theta).all(axis=1)):
-        errors[r] = NumericalError("theta0 contains non-finite entries")
     searched = _newton(kernels, theta, psi, risk, f.has_loss,
                        np.array([e is None for e in errors]), tol, max_iter, theta_cap)
     return _fits(datasets, kernels, searched, errors, partial(_jacobian, kernels), tol, True)
@@ -462,6 +471,10 @@ def _meat(kernels, theta: np.ndarray) -> np.ndarray:
         cov = centered.transpose(0, 2, 1) @ centered / (scores.shape[1] - 1)
         meat = meat + block[0].share * cov
     return meat
+
+
+def _too_few_units(d: Dataset) -> DegenerateInputError:
+    return DegenerateInputError(f"sandwich needs >= 2 units per arm, got n1={d.n1}, n0={d.n0}")
 
 
 def _sandwich(jac: np.ndarray, meat: np.ndarray) -> np.ndarray:
@@ -501,10 +514,8 @@ def sandwich(d: Dataset, f: EstimatingFunction, fit: ZFit) -> np.ndarray:
     """
     if not fit.converged:
         raise ConvergenceError("sandwich requires a converged fit")
-    if d.n1 < 2 or d.n0 < 2:
-        raise DegenerateInputError(
-            f"sandwich needs >= 2 units per arm, got n1={d.n1}, n0={d.n0}"
-        )
+    if min(d.n1, d.n0) < 2:
+        raise _too_few_units(d)
     meat = _meat(_arm_kernels([d], f, True), fit.theta_hat[None])
     [sigma] = _sandwiches(fit.jac_at_root[None], meat)
     if isinstance(sigma, Exception):

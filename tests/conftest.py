@@ -41,3 +41,12 @@ def make_glm_dataset(seed: int, family: str, interaction: bool, n: int = 200,
     pot = rz.PotentialTable(y1, y0, x)
     assignment = rz.draw_assignment(gen, n, n // 2)
     return rz.observe(pot, assignment), spec
+
+
+def one_treated_dataset(seed: int = 0, n: int = 40):
+    """A binary-outcome experiment with one covariate in which only unit 0
+    is treated: every fit on it converges, and no arm-wise sandwich exists."""
+    gen = rz.make_rng(seed)
+    x = gen.standard_normal((n, 1))
+    y = (gen.random(n) < 0.5).astype(float)
+    return rz.Dataset(rz.Assignment([1] + [0] * (n - 1)), y, x)

@@ -9,9 +9,12 @@ import pytest
 import randzest as rz
 from randzest import zestim
 from randzest.ate import IDENTITY, LOG, LOGIT, _arm_least_squares, _intercept_start
-from randzest.errors import ConvergenceError, DomainError, SpecificationError
+from randzest.errors import (
+    ConvergenceError, DegenerateInputError, DomainError, SpecificationError,
+)
 from randzest.estfun import ModelConfig
 
+from conftest import one_treated_dataset
 from test_estfun import fd_gradient, stable_seed
 
 
@@ -103,6 +106,21 @@ class TestModelBased:
         estimator = rz.tau_model_based if kind == "B" else rz.tau_model_imputed
         estimator(d, spec, fit, LOG)
         assert calls == [(d.n,), (d.n,)]
+
+    @pytest.mark.parametrize("kind", ["based", "imputed"])
+    def test_fit_without_sandwich_has_no_delta_variance(self, kind):
+        d, _ = _count_dataset()
+        spec = rz.MeanSpec(rz.poisson_family(), True, 2)
+        fit = rz.solve(d, rz.glm_score_estfun(spec), compute_sandwich=False)
+        assert fit.converged
+        with pytest.raises(ConvergenceError, match="no sandwich covariance for the delta"):
+            getattr(rz, f"tau_model_{kind}")(d, spec, fit, LOG)
+
+    def test_one_unit_arm_fit_raises_its_block_error(self):
+        d = one_treated_dataset()
+        spec = rz.MeanSpec(rz.gaussian_family(), True, 1)
+        with pytest.raises(DegenerateInputError, match=r"got n1=1, n0=39"):
+            rz.fit_working_model(d, spec)
 
     def test_log_domain_violation_lists_units(self):
         d, _ = _count_dataset()

@@ -14,6 +14,7 @@ from randzest import simlab
 from randzest.cli import main
 from randzest.estfun import ModelConfig
 
+from conftest import one_treated_dataset
 from test_ite import binary_experiment
 
 
@@ -165,6 +166,17 @@ class TestEstimate:
         ])
         assert code == 3
         assert "converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator", ["ite-ternary", "b", "i", "ma"])
+    def test_one_unit_arm_is_data_error(self, tmp_path, capsys, estimator):
+        d = one_treated_dataset()
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("z,y,x1\n" + "".join(
+            f"{z},{y},{x}\n" for z, y, x in zip(d.z, d.y, d.x[:, 0])), encoding="utf-8")
+        code = main(["estimate", "--input", str(csv_path), "--estimator", estimator,
+                     "--model", "gaussian"])
+        assert code == 2
+        assert "sandwich needs >= 2 units per arm, got n1=1, n0=39" in capsys.readouterr().err
 
     def test_ite_linear_document(self, tmp_path, capsys):
         csv_path = tmp_path / "d.csv"

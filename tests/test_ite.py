@@ -7,6 +7,7 @@ import randzest as rz
 from randzest.errors import DegenerateInputError, NumericalError, SpecificationError
 from randzest.ite import normal_linear_model, ternary_model
 
+from conftest import one_treated_dataset
 from test_estfun import fd_jacobian, rel_err
 
 
@@ -252,6 +253,10 @@ class TestTernary:
         d = binary_experiment(seed=53)
         fit = rz.fit_ternary(d, gamma=1e12)
         assert not fit.zfit.converged
+
+    def test_one_unit_arm_raises_instead_of_a_fit_without_sigma(self):
+        with pytest.raises(DegenerateInputError, match=r"got n1=1, n0=39"):
+            rz.fit_ternary(one_treated_dataset())
 
     def test_rejects_non_binary_outcomes(self):
         d, _ = _experiment()

@@ -180,6 +180,16 @@ class TestRunStudy:
         assert np.array_equal(fit.theta_hat, ref.theta_hat)
         assert np.array_equal(fit.sigma_hat, ref.sigma_hat)
 
+    def test_estimator_failing_almost_always_is_an_error(self, monkeypatch):
+        def always(d, fits):
+            raise rz.ConvergenceError("deliberate failure")
+
+        real_build = simlab.build_estimator
+        monkeypatch.setattr(simlab, "build_estimator", lambda config, g: (
+            always if config.kind == "unadjusted" else real_build(config, g)))
+        with pytest.raises(rz.NumericalError, match=r"failed in 3 of 3 replications"):
+            simlab.run_study(_tiny_scenario(), replications=3)
+
     def test_requires_two_replications(self):
         with pytest.raises(SpecificationError):
             simlab.run_study(_tiny_scenario(), replications=1)
@@ -338,6 +348,28 @@ class TestScenarioFiles:
         with pytest.raises(DataError, match=where):
             scenario_from_dict(doc)
 
+    def test_loading_builds_no_estimator(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simlab, "build_estimator", lambda *args: calls.append(args))
+        s = simlab.load_scenario(simlab.bundled_scenario_path("table_a1"))
+        assert len(s.estimators) == 13 and calls == []
+
+    @pytest.mark.parametrize("doc,where,key", [
+        ({"replication": 5}, "top level", "replication"),
+        ({"estimators": [{"kind": "unadjusted"}, {
+            "kind": "ma", "family": "poisson", "interaction": True, "methd": "squared-loss"}]},
+         r"estimators\[1\]", "methd"),
+        ({"estimators": [{"kind": "unadjusted"}, {"kind": "ai", "imputations": [
+            {"family": "poisson", "metod": "squared-loss"}]}]},
+         r"estimators\[1\]\.imputations\[0\]", "metod"),
+    ], ids=["top-level", "entry", "imputation"])
+    def test_unknown_key_rejected(self, doc, where, key):
+        # a misspelled key would otherwise load with its default
+        doc = {"dgp": "null", "N": 40, "n1": 20,
+               "estimators": [{"kind": "unadjusted"}], **doc}
+        with pytest.raises(DataError, match=rf"^{where}: unknown key '{key}'; use one of \["):
+            scenario_from_dict(doc)
+
     def test_entry_scale_is_rejected(self):
         # the truth is on the scenario's scale, so a row on another scale
         # would be scored against the wrong estimand (an unbiased identity-
@@ -388,10 +420,9 @@ class TestScenarioFiles:
     def test_method_other_than_mle_rejected_outside_ma(self, kind):
         # model-imputed estimation is consistent only for the maximum-likelihood fit
         model = ModelConfig("poisson", True)
-        config = EstimatorConfig(kind=kind, model=model, method="squared-loss",
-                                 imputations=((model, "mle"),))
         with pytest.raises(SpecificationError, match=rf"'{kind}'.*'squared-loss'"):
-            simlab.build_estimator(config, rz.LOG)
+            EstimatorConfig(kind=kind, model=model, method="squared-loss",
+                            imputations=((model, "mle"),))
 
     def test_top_level_entries_parse_to_models(self):
         # at the top level, interaction defaults to false and kappa to "moment"
@@ -409,21 +440,32 @@ class TestScenarioFiles:
         ]
 
     def test_unknown_kind_rejected_at_build(self):
-        with pytest.raises(SpecificationError):
-            simlab.build_estimator(EstimatorConfig(kind="zap"), rz.LOG)
+        # a config is checked when it is made, before any estimator is built
+        with pytest.raises(SpecificationError, match=r"unknown 'kind' 'zap'; use one of \["):
+            EstimatorConfig(kind="zap")
 
-    @pytest.mark.parametrize("config", [
-        EstimatorConfig(kind="ma", model=ModelConfig("poisson"), method="squared-loss"),
-        EstimatorConfig(kind="ai", imputations=(
+    @pytest.mark.parametrize("fields", [
+        dict(kind="ma", model=ModelConfig("poisson"), method="squared-loss"),
+        dict(kind="ai", imputations=(
             (ModelConfig("poisson", True), "mle"),
             (ModelConfig("gaussian", False), "squared-loss"),
         )),
     ])
-    def test_squared_loss_without_interaction_rejected_at_build(self, config):
+    def test_squared_loss_without_interaction_rejected_at_build(self, fields):
         with pytest.raises(SpecificationError, match="interaction"):
-            simlab.build_estimator(config, rz.LOG)
-        with pytest.raises(SpecificationError, match="interaction"):
-            simlab.run_study(_tiny_scenario(estimators=(config,)), replications=3)
+            EstimatorConfig(**fields)
+
+    @pytest.mark.parametrize("fields,match", [
+        (dict(kind="ma", model=ModelConfig("poisson", True), method="newton"),
+         r"unknown method 'newton'; use one of \('mle', 'squared-loss'\)"),
+        (dict(kind="ai", imputations=((ModelConfig("poisson", True), "ols"),)),
+         r"unknown method 'ols'"),
+        (dict(kind="ai"), "estimator kind 'ai' needs imputations"),
+        (dict(kind="i"), "estimator kind 'i' needs a model"),
+    ])
+    def test_entry_rules_checked_when_made(self, fields, match):
+        with pytest.raises(SpecificationError, match=match):
+            EstimatorConfig(**fields)
 
     def test_unknown_family_rejected_at_build(self):
         with pytest.raises(SpecificationError):

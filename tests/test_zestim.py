@@ -8,11 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import randzest as rz
-from randzest.errors import NumericalError, SpecificationError
+from randzest.errors import (
+    ConvergenceError, DegenerateInputError, NumericalError, SpecificationError,
+)
 from randzest.ite import normal_linear_model, ternary_model
 from randzest import zestim
 from randzest.zestim import empirical_jacobian
 
+from conftest import one_treated_dataset
 from test_estfun import FAMILIES, fd_gradient, fd_jacobian, rel_err
 
 # treated shares of the sandwich property tests; r1 = 1/2 alone cannot tell
@@ -526,6 +529,65 @@ class TestSandwich:
         assert fit.converged is True
 
 
+class TestSandwichErrors:
+    def _gaussian(self):
+        return rz.glm_score_estfun(rz.MeanSpec(rz.gaussian_family(), True, 1))
+
+    def test_one_unit_arm_fails_the_solve_as_the_sandwich_does(self):
+        # a converged fit whose sandwich is wanted raises, like rz.sandwich,
+        # instead of coming back without sigma_hat
+        d, f = one_treated_dataset(), self._gaussian()
+        bare = rz.solve(d, f, compute_sandwich=False)
+        assert bare.converged and bare.sigma_hat is None
+        with pytest.raises(DegenerateInputError, match=r"got n1=1, n0=39$") as solved:
+            rz.solve(d, f)
+        with pytest.raises(DegenerateInputError) as direct:
+            rz.sandwich(d, f, bare)
+        assert str(solved.value) == str(direct.value)
+
+    def test_one_unit_arm_rule_holds_for_converged_block_rows(self):
+        block = [one_treated_dataset(), one_treated_dataset(seed=1)]
+        f = self._gaussian()
+        fits = zestim._solve_block(block, f, np.zeros((2, f.dim)))
+        assert [type(fit) for fit in fits] == [DegenerateInputError] * 2
+        # a fit that has not converged keeps its own failure
+        f = rz.glm_score_estfun(rz.MeanSpec(rz.binomial_family(), True, 1))
+        fits = zestim._solve_block(block, f, np.zeros((2, f.dim)), max_iter=1)
+        assert [fit.converged for fit in fits] == [False, False]
+
+    def test_non_converged_fit_has_no_sandwich(self, rng):
+        d, spec = _glm_data(rng)
+        f = rz.glm_score_estfun(spec)
+        fit = rz.solve(d, f, max_iter=1, compute_sandwich=False)
+        assert not fit.converged
+        with pytest.raises(ConvergenceError, match="converged fit"):
+            rz.sandwich(d, f, fit)
+
+    def test_singular_bread(self):
+        # a covariate column of zeros leaves its slopes unidentified
+        gen = rz.make_rng(5)
+        x = np.column_stack([gen.standard_normal(60), np.zeros(60)])
+        d = rz.Dataset(rz.draw_assignment(gen, 60, 30), gen.standard_normal(60), x)
+        f = rz.glm_score_estfun(rz.MeanSpec(rz.gaussian_family(), True, 2))
+        fit = rz.solve(d, f, compute_sandwich=False)
+        assert fit.converged
+        with pytest.raises(NumericalError, match="bread matrix is singular"):
+            rz.sandwich(d, f, fit)
+
+    def test_non_finite_block_start_fails_its_own_row(self, rng):
+        # the start is not checked apart from its scores: a NaN start fails
+        # its row with the per-unit error of its non-finite scores
+        d, spec = _glm_data(rng)
+        f = rz.glm_score_estfun(spec)
+        start = np.zeros((2, f.dim))
+        start[0, 0] = np.nan
+        bad, good = zestim._solve_block([d, d], f, start)
+        assert isinstance(bad, NumericalError) and "unit index(es)" in str(bad)
+        [alone] = zestim._solve_block([d], f, start[1:])
+        assert good.converged and (good.theta_hat == alone.theta_hat).all()
+        assert (good.sigma_hat == alone.sigma_hat).all()
+
+
 class TestWald:
     def _unit_fit(self):
         # theta_hat = 0, Sigma = 1, N = 100
@@ -615,6 +677,11 @@ class TestWald:
         ws = rz.wald_set(fit, np.eye(4)[:, :2])
         with pytest.raises(NumericalError, match="covariance is singular"):
             ws.contains([3.0, 3.0])
+
+    def test_fit_without_sandwich_is_rejected(self):
+        fit = dataclasses.replace(self._unit_fit(), sigma_hat=None)
+        with pytest.raises(ConvergenceError, match="no sandwich covariance"):
+            rz.wald_set(fit, np.array([1.0]))
 
     def test_rank_deficient_contrast(self):
         fit = rz.ZFit(
